@@ -95,7 +95,7 @@ class ClassicalBackend:
         return f
 
     def from_classical(self, f: Morphism):
-        if f.sr.id != self.sr.id:
+        if f.sr is not self.sr:
             raise ShapeError("classical matrix is over a different semiring")
         return f
 
@@ -190,7 +190,7 @@ class QuantumBackend:
         return quantum.classical_extract(f, self.pp)
 
     def from_classical(self, f: Morphism, dom=None, cod=None):
-        if f.sr.id != self.pp.ring.id:
+        if f.sr is not self.pp.ring:
             raise ShapeError(
                 f"classical matrix must be over the scalar semiring {self.pp.ring.id}"
             )
@@ -267,21 +267,11 @@ def toyzoo_table() -> list:
     """Rows (name, S, involution, R, description) for the supported theories."""
     rows = []
     for name, (sid, desc) in TOY_THEORIES.items():
-        if name == "modal":
-            sid = "gf2 p"
-            inv = "Frobenius x -> x^p"
-            rid = "gf p"
-        else:
-            sr = get_semiring(sid)
-            inv = {
-                "gauss-rat": "complex conjugation",
-                "complex-f64": "complex conjugation",
-                "rat": "identity",
-                "split-rat": "split-complex conjugation",
-                "bool": "identity",
-            }[sid]
-            rid = positive_part(sr).ring.id
-        rows.append((name, sid, inv, rid, desc))
+        sr = get_semiring(sid.format(p=2))
+        rid = positive_part(sr).ring.id
+        if name == "modal":  # one theory per prime p
+            sid, rid = "gf2 p", "gf p"
+        rows.append((name, sid, sr.involution, rid, desc))
     return rows
 
 

@@ -20,7 +20,7 @@ import sys
 
 from . import backend as bk
 from . import bell, diagram, matcat, scenarios
-from .semirings import SemiringError, get_semiring, is_positive
+from .semirings import SemiringError, get_semiring
 
 DEFAULT_SEED = 20170901
 
@@ -61,15 +61,10 @@ def cmd_theory_check(args) -> int:
     return 0 if not problems else 1
 
 
-def _classical_backend_for(args):
-    sr = get_semiring(args.semiring, tolerance=args.tolerance)
-    return bk.ClassicalBackend(sr)
-
-
 def cmd_eval(args) -> int:
     with open(args.file) as fh:
         doc = diagram.parse(fh.read())
-    b = _classical_backend_for(args)
+    b = bk.ClassicalBackend(get_semiring(args.semiring, tolerance=args.tolerance))
     value = diagram.run_document(doc, b)
     lines = [
         f"dom: {value.dom}",
@@ -87,14 +82,8 @@ def cmd_eq(args) -> int:
     with open(args.rhs) as fh:
         rhs = diagram.parse(fh.read())
     with open(args.bindings) as fh:
-        bsrc = fh.read()
-    sem = None
-    for line in bsrc.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line.startswith("semiring "):
-            sem = line.split(None, 1)[1]
-    b = bk.ClassicalBackend(get_semiring(sem or args.semiring, tolerance=args.tolerance))
-    raw = diagram.load_bindings(bsrc, b)
+        sr, raw = diagram.parse_bindings(fh.read(), args.tolerance)
+    b = bk.ClassicalBackend(sr or get_semiring(args.semiring, tolerance=args.tolerance))
     lv = diagram.run_document(lhs, b, diagram.bind_generators(lhs, b, raw))
     rv = diagram.run_document(rhs, b, diagram.bind_generators(rhs, b, raw))
     diff = matcat.first_difference(lv, rv)

@@ -319,12 +319,8 @@ def _parse_atom(toks):
         cls = State if t.text == "state" else Effect
         return cls(args[0], args[1], span=sp), rest
     if t.kind == "name":
-        return Gen(t.text, span=sp), rest_after(toks)
+        return Gen(t.text, span=sp), toks[1:]
     raise DiagramSyntaxError(f"line {t.line}, col {t.col}: unexpected {t.text!r}")
-
-
-def rest_after(toks):
-    return toks[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -529,29 +525,37 @@ def run_document(doc: Document, backend, bindings: dict = None):
 # bindings files
 
 
-def load_bindings(src: str, backend):
+def parse_bindings(src: str, tolerance: float):
     """Parse a bindings file: `semiring <id>` then `gen NAME = [[..]]` lines.
 
-    The semiring line must match the backend's semiring. Returns a dict of
-    generator name -> classical morphism; shapes are fixed by the document's
-    declarations at evaluation time.
+    Returns (semiring named by the file or None, dict of generator name ->
+    nested literal); `tolerance` applies if the file names complex-f64.
+    Shapes are fixed by the document's declarations at evaluation time.
     """
     raw = {}
-    sem = None
+    sr = None
     for ln, line in enumerate(src.splitlines()):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         key, _, rest = line.partition(" ")
         if key == "semiring":
-            sem = rest.strip()
+            sr = get_semiring(rest, tolerance=tolerance)
         elif key == "gen":
             name, _, lit = rest.partition("=")
             raw[name.strip()] = parse_nested(lit.strip())
         else:
             raise DiagramSyntaxError(f"bindings line {ln + 1}: unrecognised {line!r}")
-    if sem is not None and sem != backend.sr.id:
-        raise DiagramTypeError(f"bindings are over {sem!r}, backend is {backend.sr.id!r}")
+    return sr, raw
+
+
+def load_bindings(src: str, backend):
+    """The generator literals of a bindings file whose semiring line, if
+    any, names the backend's semiring."""
+    tol = backend.sr.tolerance  # an exact backend matches no complex-f64, so any will do
+    sr, raw = parse_bindings(src, 0.0 if tol is None else tol)
+    if sr is not None and sr is not backend.sr:
+        raise DiagramTypeError(f"bindings are over {sr.id!r}, backend is {backend.sr.id!r}")
     return raw
 
 

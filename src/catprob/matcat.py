@@ -117,7 +117,7 @@ def from_literal(sr: Semiring, dom: Obj, cod: Obj, rows) -> Morphism:
 
 
 def _check_same_sr(f: Morphism, g: Morphism):
-    if f.sr.id != g.sr.id:
+    if f.sr is not g.sr:
         raise ShapeError(f"semiring mismatch: {f.sr.id} vs {g.sr.id}")
 
 
@@ -396,23 +396,6 @@ def random_morphism(sr: Semiring, dom: Obj, cod: Obj, rng) -> Morphism:
 
 def random_normalised(sr: Semiring, dom: Obj, cod: Obj, rng) -> Morphism:
     """A random column-stochastic matrix (each column an R-distribution)."""
-    cols = []
-    for _ in range(dom.size):
-        col = [sr.zero] * cod.size
-        if sr.id in ("bool",):
-            col[rng.randrange(cod.size)] = sr.one
-        elif sr.id == "nat":
-            col[rng.randrange(cod.size)] = sr.one
-        elif sr.invertible(sr.sum([sr.one])):  # semirings with division: dirichlet-ish
-            weights = [sr.mul(x, sr.star(x)) for x in (sr.sample(rng) for _ in range(cod.size))]
-            total = sr.sum(weights)
-            if not sr.invertible(total):
-                col[rng.randrange(cod.size)] = sr.one
-            else:
-                inv = sr.inv(total)
-                col = [sr.mul(w, inv) for w in weights]
-        else:
-            col[rng.randrange(cod.size)] = sr.one
-        cols.append(col)
-    rows = tuple(tuple(cols[c][r] for c in range(dom.size)) for r in range(cod.size))
+    cols = [sr.distribution(sr, rng, cod.size) for _ in range(dom.size)]
+    rows = tuple(tuple(col[r] for col in cols) for r in range(cod.size))
     return Morphism(dom, cod, rows, sr)

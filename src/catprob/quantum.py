@@ -172,7 +172,7 @@ def s_zero(sr: Semiring, dom: tuple, cod: tuple) -> Superoperator:
 
 
 def s_compose(g: Superoperator, f: Superoperator) -> Superoperator:
-    if f.sr.id != g.sr.id:
+    if f.sr is not g.sr:
         raise ShapeError("semiring mismatch")
     if f.cod != g.dom:
         raise ShapeError(f"cannot compose: cod {f.cod} != dom {g.dom}")
@@ -192,7 +192,7 @@ def s_compose(g: Superoperator, f: Superoperator) -> Superoperator:
 
 
 def s_tensor(f: Superoperator, g: Superoperator) -> Superoperator:
-    if f.sr.id != g.sr.id:
+    if f.sr is not g.sr:
         raise ShapeError("semiring mismatch")
     sr = f.sr
     df, dg = doubled_dim(f.dom), doubled_dim(g.dom)
@@ -207,7 +207,7 @@ def s_tensor(f: Superoperator, g: Superoperator) -> Superoperator:
 
 
 def s_add(f: Superoperator, g: Superoperator) -> Superoperator:
-    if f.dom != g.dom or f.cod != g.cod or f.sr.id != g.sr.id:
+    if f.dom != g.dom or f.cod != g.cod or f.sr is not g.sr:
         raise ShapeError("sum needs matching shapes")
     sr = f.sr
     rows = tuple(
@@ -497,33 +497,16 @@ def _matrix_rank_field(sr: Semiring, mat) -> int:
             if r != rank and not sr.eq(m[r][c], sr.zero):
                 factor = m[r][c]
                 m[r] = [
-                    sr.add(v, sr.mul(_neg(sr, factor), w)) for v, w in zip(m[r], m[rank])
+                    sr.add(v, sr.mul(sr.neg(factor), w)) for v, w in zip(m[r], m[rank])
                 ]
         rank += 1
     return rank
 
 
-def _neg(sr: Semiring, x):
-    """Additive inverse; only called for semirings that are rings."""
-    if sr.id in ("rat", "ratnn"):
-        return -x
-    if sr.id in ("gauss-rat", "split-rat"):
-        return (-x[0], -x[1])
-    if sr.id == "complex-f64":
-        return -x
-    if sr.id.startswith("gf2 "):
-        p = int(sr.id.split()[1])
-        return ((-x[0]) % p, (-x[1]) % p)
-    if sr.id.startswith("gf "):
-        p = int(sr.id.split()[1])
-        return (-x) % p
-    raise SemiringError(f"{sr.id} has no additive inverses")
-
-
 def is_pure_choi(phi: Superoperator) -> bool:
     """Desk-scale purity test: the Choi matrix has rank at most one."""
     sr = phi.sr
-    if sr.id in ("bool", "nat"):
+    if sr.neg is None:
         raise SemiringError("purity test needs a semiring with division")
     choi = choi_matrix(phi)
     if sr.tolerance is not None:

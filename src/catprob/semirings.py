@@ -19,16 +19,54 @@ semantic equality in exact mode.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 
-@dataclass(frozen=True)
+def _point_column(sr: "Semiring", rng: random.Random, n: int) -> list:
+    """A deterministic distribution on n outcomes, at a random outcome."""
+    col = [sr.zero] * n
+    col[rng.randrange(n)] = sr.one
+    return col
+
+
+def _weighted_column(sr: "Semiring", rng: random.Random, n: int) -> list:
+    """A distribution on n outcomes with weights x x* for sampled x, normalised
+    by division (a point distribution when the total is not invertible)."""
+    weights = [sr.mul(x, sr.star(x)) for x in (sr.sample(rng) for _ in range(n))]
+    total = sr.sum(weights)
+    if not sr.invertible(total):
+        return _point_column(sr, rng, n)
+    inv = sr.inv(total)
+    return [sr.mul(w, inv) for w in weights]
+
+
+@dataclass(frozen=True, eq=False)
 class Semiring:
-    """A commutative involutive semiring with exact (or tolerance) equality."""
+    """A commutative involutive semiring with exact (or tolerance) equality.
+
+    `get_semiring` returns one shared instance per (id, tolerance) and
+    equality is identity, so values over the same semiring compare with `==`.
+    Besides its operations, each instance carries as data what the rest of
+    the package needs to know about it, set by its constructor below:
+
+    - `neg`: additive inverse in the number system of the representation
+      (ratnn negates into the rationals, which Gaussian elimination needs);
+      None for bool and nat;
+    - `witness`: builds a family with sum zero and a nonzero member; None
+      exactly when the semiring is `positive`;
+    - `scalars`, `embed`, `member`, `project`: the positive sub-semiring R of
+      Born-rule probabilities, R -> S, membership of the image of R, and
+      S -> R on that image (see `positive_part`); `scalars` is None when
+      no R is tabulated;
+    - `involution`: the name of `star`;
+    - `distribution`: draws one random R-distribution on n outcomes;
+    - `elements`: the full carrier of a finite instance, lazily re-iterable.
+    """
 
     id: str
     add: Callable[[Any, Any], Any]
@@ -36,20 +74,31 @@ class Semiring:
     zero: Any
     one: Any
     star: Callable[[Any], Any]
-    positive: bool
     invertible: Callable[[Any], bool]
     inv: Callable[[Any], Any]
     sample: Callable[[random.Random], Any]
     parse: Callable[[str], Any]
     fmt: Callable[[Any], str]
     tolerance: Optional[float] = None  # None => exact mode
-    elements: Optional[tuple] = None  # full carrier, finite instances only
+    elements: Optional[Iterable] = None
     is_element: Callable[[Any], bool] = field(default=lambda x: True)
     coerce: Callable[[Any], Any] = field(default=lambda x: x)
+    neg: Optional[Callable[[Any], Any]] = None
+    witness: Optional[Callable[[], tuple]] = None
+    scalars: Optional[Callable[[], "Semiring"]] = None
+    embed: Callable[[Any], Any] = field(default=lambda q: q)
+    member: Callable[[Any], bool] = field(default=lambda x: True)
+    project: Callable[[Any], Any] = field(default=lambda x: x)
+    involution: str = "identity"
+    distribution: Callable[["Semiring", random.Random, int], list] = _weighted_column
 
     @property
     def exact(self) -> bool:
         return self.tolerance is None
+
+    @property
+    def positive(self) -> bool:
+        return self.witness is None
 
     def eq(self, a, b) -> bool:
         if self.tolerance is None:
@@ -60,18 +109,6 @@ class Semiring:
         acc = self.zero
         for x in xs:
             acc = self.add(acc, x)
-        return acc
-
-    def product(self, xs):
-        acc = self.one
-        for x in xs:
-            acc = self.mul(acc, x)
-        return acc
-
-    def pow(self, x, n: int):
-        acc = self.one
-        for _ in range(n):
-            acc = self.mul(acc, x)
         return acc
 
     def __repr__(self):
@@ -97,10 +134,6 @@ def _parse_frac(tok: str) -> Fraction:
     if not _RAT_RE.match(tok):
         raise SemiringError(f"bad rational literal: {tok!r}")
     return Fraction(tok)
-
-
-def _fmt_frac(x: Fraction) -> str:
-    return str(x)
 
 
 _PAIR_RE = re.compile(
@@ -166,7 +199,6 @@ def _bool() -> Semiring:
         zero=False,
         one=True,
         star=lambda a: a,
-        positive=True,
         invertible=lambda a: a is True or a == 1,
         inv=lambda a: True,
         sample=lambda rng: rng.random() < 0.5,
@@ -174,6 +206,8 @@ def _bool() -> Semiring:
         fmt=lambda a: "1" if a else "0",
         elements=(False, True),
         is_element=lambda a: isinstance(a, bool),
+        scalars=lambda: get_semiring("bool"),
+        distribution=_point_column,
     )
 
 
@@ -185,13 +219,14 @@ def _nat() -> Semiring:
         zero=0,
         one=1,
         star=lambda a: a,
-        positive=True,
         invertible=lambda a: a == 1,
         inv=lambda a: 1,
         sample=lambda rng: rng.randrange(0, 5),
         parse=lambda s: int(s),
         fmt=str,
         is_element=lambda a: isinstance(a, int) and a >= 0,
+        scalars=lambda: get_semiring("nat"),
+        distribution=_point_column,
     )
 
 
@@ -209,22 +244,26 @@ def _rat(nonneg: bool) -> Semiring:
         zero=Fraction(0),
         one=Fraction(1),
         star=lambda a: a,
-        positive=nonneg,
         invertible=lambda a: a != 0,
         inv=lambda a: 1 / a,
         sample=smp,
         parse=_parse_frac,
-        fmt=_fmt_frac,
+        fmt=str,
         is_element=(lambda a: isinstance(a, Fraction) and a >= 0)
         if nonneg
         else (lambda a: isinstance(a, Fraction)),
         coerce=lambda a: a if isinstance(a, Fraction) else Fraction(a),
+        neg=lambda a: -a,
+        witness=None if nonneg else (lambda: (Fraction(1), Fraction(-1))),
+        scalars=lambda: get_semiring("ratnn"),
+        member=lambda x: x >= 0,
     )
 
 
 def _pair_ring(unit: str) -> Semiring:
     """Gaussian rationals (unit 'i', i^2=-1) or split-complex ('j', j^2=+1)."""
-    sq = Fraction(-1) if unit == "i" else Fraction(1)
+    gauss = unit == "i"
+    sq = Fraction(-1) if gauss else Fraction(1)
 
     def add(x, y):
         return (x[0] + y[0], x[1] + y[1])
@@ -253,13 +292,12 @@ def _pair_ring(unit: str) -> Semiring:
         return (f(), f())
 
     return Semiring(
-        id="gauss-rat" if unit == "i" else "split-rat",
+        id="gauss-rat" if gauss else "split-rat",
         add=add,
         mul=mul,
         zero=(Fraction(0), Fraction(0)),
         one=(Fraction(1), Fraction(0)),
         star=star,
-        positive=False,
         invertible=invertible,
         inv=inv,
         sample=smp,
@@ -271,12 +309,24 @@ def _pair_ring(unit: str) -> Semiring:
         coerce=lambda x: (Fraction(x[0]), Fraction(x[1]))
         if isinstance(x, tuple)
         else (Fraction(x), Fraction(0)),
+        neg=lambda x: (-x[0], -x[1]),
+        witness=lambda: ((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))),
+        scalars=lambda: get_semiring("ratnn" if gauss else "rat"),
+        embed=lambda q: (q, Fraction(0)),
+        member=(lambda x: x[1] == 0 and x[0] >= 0) if gauss else (lambda x: x[1] == 0),
+        project=lambda x: x[0],
+        involution="complex conjugation" if gauss else "split-complex conjugation",
     )
 
 
-def _gf(p: int) -> Semiring:
+def _check_prime(p: int) -> None:
     if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise SemiringError(f"gf modulus must be prime, got {p}")
+
+
+def _gf(p: int) -> Semiring:
+    """GF(p): every element is a sum of squares, so no positive sub-semiring."""
+    _check_prime(p)
     return Semiring(
         id=f"gf {p}",
         add=lambda a, b: (a + b) % p,
@@ -284,14 +334,15 @@ def _gf(p: int) -> Semiring:
         zero=0,
         one=1 % p,
         star=lambda a: a,
-        positive=False,
         invertible=lambda a: a % p != 0,
         inv=lambda a: pow(a, p - 2, p),
         sample=lambda rng: rng.randrange(p),
         parse=lambda s: int(s) % p,
         fmt=str,
-        elements=tuple(range(p)),
+        elements=range(p),
         is_element=lambda a: isinstance(a, int) and 0 <= a < p,
+        neg=lambda a: (-a) % p,
+        witness=lambda: (1,) * p,
     )
 
 
@@ -299,11 +350,15 @@ def _irreducible_quadratic(p: int) -> tuple:
     """Coefficients (u, v) with x^2 + u x + v irreducible over GF(p).
 
     Prefers x^2 + x + 1; falls back to x^2 + c for the least workable c.
-    Deterministic per p, so element literals are stable across runs.
+    Deterministic per p, so element literals are stable across runs. For odd
+    p a quadratic is irreducible iff its discriminant is a non-square, which
+    Euler's criterion decides in O(log p).
     """
+    if p == 2:
+        return (1, 1)
 
     def irred(u, v):
-        return all((x * x + u * x + v) % p != 0 for x in range(p))
+        return pow((u * u - 4 * v) % p, (p - 1) // 2, p) == p - 1
 
     if irred(1, 1):
         return (1, 1)
@@ -313,8 +368,19 @@ def _irreducible_quadratic(p: int) -> tuple:
     raise SemiringError(f"no irreducible quadratic found for p={p}")  # pragma: no cover
 
 
+class _PairsMod:
+    """The carrier GF(p) x GF(p) in row-major order, enumerated on demand."""
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __iter__(self):
+        return itertools.product(range(self.p), repeat=2)
+
+
 def _gf2(p: int) -> Semiring:
-    base = _gf(p)
+    """GF(p^2) with the Frobenius involution; its positive part is GF(p)."""
+    _check_prime(p)
     u, v = _irreducible_quadratic(p)
 
     def add(x, y):
@@ -352,14 +418,20 @@ def _gf2(p: int) -> Semiring:
         zero=(0, 0),
         one=(1 % p, 0),
         star=star,
-        positive=False,
         invertible=lambda x: x != (0, 0),
         inv=inv,
         sample=lambda rng: (rng.randrange(p), rng.randrange(p)),
         parse=lambda s: tuple(int(c) % p for c in _split_gf2_literal(s)),
         fmt=lambda x: f"{x[0]}" if x[1] == 0 else f"{x[0]}+{x[1]}t",
-        elements=tuple((a, b) for a in range(p) for b in range(p)),
+        elements=_PairsMod(p),
         is_element=lambda x: isinstance(x, tuple) and len(x) == 2,
+        neg=lambda x: ((-x[0]) % p, (-x[1]) % p),
+        witness=lambda: ((1, 0),) * p,
+        scalars=lambda: get_semiring(f"gf {p}"),
+        embed=lambda q: (q, 0),
+        member=lambda x: x[1] == 0,
+        project=lambda x: x[0],
+        involution="Frobenius x -> x^p",
     )
 
 
@@ -377,6 +449,10 @@ def _split_gf2_literal(s: str):
 def _complex_f64(tolerance: float = 1e-9) -> Semiring:
     if tolerance < 0:
         raise SemiringError("tolerance must be nonnegative")
+
+    def member(x):
+        return abs(complex(x).imag) <= tolerance and complex(x).real >= -tolerance
+
     return Semiring(
         id="complex-f64",
         add=lambda a, b: a + b,
@@ -384,7 +460,6 @@ def _complex_f64(tolerance: float = 1e-9) -> Semiring:
         zero=0j,
         one=1 + 0j,
         star=lambda a: a.conjugate(),
-        positive=False,
         invertible=lambda a: abs(a) > tolerance,
         inv=lambda a: 1 / a,
         sample=lambda rng: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
@@ -393,6 +468,13 @@ def _complex_f64(tolerance: float = 1e-9) -> Semiring:
         tolerance=tolerance,
         is_element=lambda a: isinstance(a, (complex, float, int)),
         coerce=complex,
+        neg=lambda a: -a,
+        witness=lambda: (1 + 0j, -1 + 0j),
+        scalars=lambda: _interned(("real-f64", tolerance), lambda: _real_nn_f64(tolerance)),
+        embed=complex,
+        member=member,
+        project=lambda x: complex(x).real,
+        involution="complex conjugation",
     )
 
 
@@ -405,7 +487,6 @@ def _real_nn_f64(tolerance: float = 1e-9) -> Semiring:
         zero=0.0,
         one=1.0,
         star=lambda a: a,
-        positive=True,
         invertible=lambda a: abs(a) > tolerance,
         inv=lambda a: 1 / a,
         sample=lambda rng: rng.uniform(0.0, 1.5),
@@ -413,11 +494,12 @@ def _real_nn_f64(tolerance: float = 1e-9) -> Semiring:
         fmt=lambda a: f"{a:.12g}",
         tolerance=tolerance,
         is_element=lambda a: isinstance(a, (float, int)),
+        neg=lambda a: -a,
     )
 
 
 # ---------------------------------------------------------------------------
-# registry
+# registry: one shared instance per (id, tolerance)
 
 _FIXED = {
     "bool": _bool,
@@ -430,18 +512,31 @@ _FIXED = {
 
 KNOWN_IDS = ("bool", "nat", "ratnn", "rat", "gauss-rat", "split-rat", "gf <p>", "gf2 <p>", "complex-f64")
 
+_INSTANCES: dict = {}
+
+
+def _interned(key, build: Callable[[], Semiring]) -> Semiring:
+    sr = _INSTANCES.get(key)
+    if sr is None:
+        sr = _INSTANCES[key] = build()
+    return sr
+
 
 def get_semiring(name: str, tolerance: float = 1e-9) -> Semiring:
-    """Look up a semiring by its textual id, e.g. 'ratnn', 'gf 3', 'gf2 2'."""
+    """Look up a semiring by its textual id, e.g. 'ratnn', 'gf 3', 'gf2 2'.
+
+    Every call with the same id (and, for complex-f64, the same tolerance)
+    returns the same instance.
+    """
     name = " ".join(name.split())
     if name in _FIXED:
-        return _FIXED[name]()
+        return _interned(name, _FIXED[name])
     if name == "complex-f64":
-        return _complex_f64(tolerance)
+        return _interned((name, tolerance), lambda: _complex_f64(tolerance))
     m = re.match(r"^(gf2?)\s+(\d+)$", name)
     if m:
-        p = int(m.group(2))
-        return _gf2(p) if m.group(1) == "gf2" else _gf(p)
+        kind, p = m.group(1), int(m.group(2))
+        return _interned(f"{kind} {p}", lambda: _gf2(p) if kind == "gf2" else _gf(p))
     raise SemiringError(f"unknown semiring id {name!r} (known: {', '.join(KNOWN_IDS)})")
 
 
@@ -502,14 +597,13 @@ def _sample_set(sr: Semiring, count: int = 12, seed: int = 7) -> list:
         return list(sr.elements)
     rng = random.Random(seed)
     seen = [sr.zero, sr.one]
-    if sr.coerce is not None:
-        for probe in (-1, 2, -2):
-            try:
-                x = sr.coerce(probe)
-            except (TypeError, ValueError):
-                continue
-            if sr.is_element(x) and x not in seen:
-                seen.append(x)
+    for probe in (-1, 2, -2):
+        try:
+            x = sr.coerce(probe)
+        except (TypeError, ValueError):
+            continue
+        if sr.is_element(x) and x not in seen:
+            seen.append(x)
     for _ in range(count * 20):
         if len(seen) >= count:
             break
@@ -521,22 +615,12 @@ def _sample_set(sr: Semiring, count: int = 12, seed: int = 7) -> list:
 
 def positivity_witness_search(sr: Semiring, max_size: int = 3, seed: int = 7):
     """Brute-force search for a family summing to zero with a nonzero member."""
-    from itertools import combinations_with_replacement
-
     pool = _sample_set(sr, seed=seed)
     for n in range(1, max_size + 1):
-        for fam in combinations_with_replacement(pool, n):
+        for fam in itertools.combinations_with_replacement(pool, n):
             if any(not sr.eq(x, sr.zero) for x in fam) and sr.eq(sr.sum(fam), sr.zero):
                 return fam
     return None
-
-
-_WITNESSES = {
-    "rat": (Fraction(1), Fraction(-1)),
-    "gauss-rat": ((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))),
-    "split-rat": ((Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0))),
-    "complex-f64": (1 + 0j, -1 + 0j),
-}
 
 
 def is_positive(sr: Semiring) -> PositivityReport:
@@ -548,21 +632,12 @@ def is_positive(sr: Semiring) -> PositivityReport:
     """
     if not sr.exact:
         raise SemiringError("is_positive is only supported in exact mode")
-    if sr.positive:
-        found = positivity_witness_search(sr)
-        if found is not None:  # pragma: no cover - declared flags are correct
-            raise SemiringError(f"{sr.id} declared positive but witness found: {found}")
-        return PositivityReport(True, None)
-    if sr.id in _WITNESSES:
-        return PositivityReport(False, _WITNESSES[sr.id])
-    if sr.id.startswith("gf2 "):
-        p = int(sr.id.split()[1])
-        return PositivityReport(False, tuple([(1, 0)] * p))
-    if sr.id.startswith("gf "):
-        p = int(sr.id.split()[1])
-        return PositivityReport(False, tuple([1] * p))
-    witness = positivity_witness_search(sr)
-    return PositivityReport(False, witness)
+    if not sr.positive:
+        return PositivityReport(False, sr.witness())
+    found = positivity_witness_search(sr)
+    if found is not None:  # pragma: no cover - declared flags are correct
+        raise SemiringError(f"{sr.id} declared positive but witness found: {found}")
+    return PositivityReport(True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -583,61 +658,18 @@ class PositivePart:
 def positive_part(sr: Semiring) -> PositivePart:
     """The Born-rule scalar semiring for an involutive semiring.
 
-    Realised as a lookup over the supported instances; `verify_positive_part`
+    Assembled from the data the instance carries; `verify_positive_part`
     checks the closure property {x* x} subset R by enumeration/sampling.
     """
-    sid = sr.id
+    if sr.scalars is None:
+        raise SemiringError(f"no positive sub-semiring tabulated for {sr.id!r}")
 
-    def mk(r, embed, member, retract):
-        return PositivePart(r, sr, embed, member, retract)
+    def retract(x):
+        if not sr.member(x):
+            raise SemiringError(f"{sr.fmt(x)} lies outside the positive sub-semiring of {sr.id}")
+        return sr.project(x)
 
-    def bad(x):
-        raise SemiringError(f"{sr.fmt(x)} lies outside the positive sub-semiring of {sid}")
-
-    if sid == "gauss-rat":
-        r = get_semiring("ratnn")
-        return mk(
-            r,
-            lambda q: (q, Fraction(0)),
-            lambda x: x[1] == 0 and x[0] >= 0,
-            lambda x: x[0] if (x[1] == 0 and x[0] >= 0) else bad(x),
-        )
-    if sid == "split-rat":
-        r = get_semiring("rat")
-        return mk(
-            r,
-            lambda q: (q, Fraction(0)),
-            lambda x: x[1] == 0,
-            lambda x: x[0] if x[1] == 0 else bad(x),
-        )
-    if sid == "rat":  # real theory: identity involution, squares are nonnegative
-        r = get_semiring("ratnn")
-        return mk(r, lambda q: q, lambda x: x >= 0, lambda x: x if x >= 0 else bad(x))
-    if sid in ("ratnn", "bool", "nat"):
-        return mk(sr, lambda q: q, lambda x: True, lambda x: x)
-    if sid.startswith("gf2 "):
-        p = int(sid.split()[1])
-        r = get_semiring(f"gf {p}")
-        return mk(
-            r,
-            lambda q: (q, 0),
-            lambda x: x[1] == 0,
-            lambda x: x[0] if x[1] == 0 else bad(x),
-        )
-    if sid == "complex-f64":
-        tol = sr.tolerance
-        r = _real_nn_f64(tol)
-
-        def member(x):
-            return abs(complex(x).imag) <= tol and complex(x).real >= -tol
-
-        return mk(
-            r,
-            lambda q: complex(q),
-            member,
-            lambda x: complex(x).real if member(x) else bad(x),
-        )
-    raise SemiringError(f"no positive sub-semiring tabulated for {sid!r}")
+    return PositivePart(sr.scalars(), sr, sr.embed, sr.member, retract)
 
 
 def scalar_subsemiring(sr: Semiring) -> Semiring:
@@ -650,7 +682,7 @@ def scalar_subsemiring(sr: Semiring) -> Semiring:
 def verify_positive_part(pp: PositivePart, samples: int = 200, seed: int = 11) -> None:
     """Check that every x* x lies in R (exhaustive for finite S, sampled else)."""
     sr = pp.ambient
-    xs = sr.elements if sr.elements is not None else None
+    xs = sr.elements
     if xs is None:
         rng = random.Random(seed)
         xs = [sr.sample(rng) for _ in range(samples)]

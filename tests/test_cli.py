@@ -108,6 +108,29 @@ def test_toyzoo(capsys):
     assert "gf p" in out
 
 
+TOYZOO = "\n".join([
+    "theory         S            involution                   R        description",
+    "-----------------------------------------------------------------------------",
+    "quantum-exact  gauss-rat    complex conjugation          ratnn    ordinary quantum theory, exact Gaussian-rational amplitudes",
+    "quantum-f64    complex-f64  complex conjugation          real-f64 ordinary quantum theory, double-precision amplitudes",
+    "real           rat          identity                     ratnn    real quantum theory (identity involution)",
+    "hyperbolic     split-rat    split-complex conjugation    rat      hyperbolic quantum theory (signed probabilities)",
+    "relational     bool         identity                     bool     relational quantum theory (possibilities)",
+    "modal          gf2 p        Frobenius x -> x^p           gf p     modal quantum theory over GF(p^2), scalars GF(p)",
+]) + "\n"
+
+
+def test_toyzoo_table_is_unchanged(capsys):
+    code, out, _ = run(capsys, "toyzoo")
+    assert code == 0 and out == TOYZOO
+
+
+def test_theory_check_without_positive_part_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "theory-check", "gf 3", "--backend", "quantum")
+    assert code == 2 and out == ""
+    assert "no positive sub-semiring" in err
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "report.txt"
     code, out, _ = run(capsys, "--out", str(target), "toyzoo")

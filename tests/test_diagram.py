@@ -122,6 +122,19 @@ def test_bindings_file_roundtrip():
         dg.load_bindings("wibble\n", B)
 
 
+def test_bindings_semiring_line_names_a_semiring_not_a_string():
+    gf3 = ClassicalBackend(get_semiring("gf 3"))
+    assert dg.load_bindings("semiring gf  3\ngen f = [[1]]\n", gf3) == {"f": [["1"]]}
+    with pytest.raises(dg.DiagramTypeError, match="bindings are over 'nat', backend is 'ratnn'"):
+        dg.load_bindings("semiring nat\ngen f = [[1]]\n", B)
+    cf = ClassicalBackend(get_semiring("complex-f64", tolerance=1e-4))
+    assert dg.load_bindings("semiring complex-f64\n", cf) == {}
+    with pytest.raises(dg.DiagramTypeError, match="backend is 'ratnn'"):
+        dg.load_bindings("semiring complex-f64\n", B)
+    sr, raw = dg.parse_bindings("semiring ratnn  # the default\ngen f = [[1/2]]\n", 1e-9)
+    assert sr is B.sr and raw == {"f": [["1/2"]]}
+
+
 # ---------------------------------------------------------------------------
 # pretty-printer round trip on random ASTs
 

@@ -34,6 +34,24 @@ def test_unit_is_strict():
     assert mc.obj_tensor(mc.obj_tensor(X2, X3), X2) == mc.obj_tensor(X2, mc.obj_tensor(X3, X2))
 
 
+def test_equal_morphisms_from_separate_lookups_compare_equal():
+    f = mc.identity(get_semiring("ratnn"), X3)
+    g = mc.identity(get_semiring("ratnn"), X3)
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1
+
+
+def test_semirings_at_different_tolerances_do_not_mix():
+    a = get_semiring("complex-f64", tolerance=1e-9)
+    b = get_semiring("complex-f64", tolerance=1e-3)
+    assert a is not b
+    assert mc.identity(a, X2) != mc.identity(b, X2)
+    with pytest.raises(mc.ShapeError, match="semiring mismatch"):
+        mc.compose(mc.identity(a, X2), mc.identity(b, X2))
+    with pytest.raises(mc.ShapeError, match="semiring mismatch"):
+        mc.tensor(mc.identity(a, X2), mc.identity(b, X2))
+
+
 def test_matrix_product():
     f = M([[1], [3]], mc.UNIT, X2, NAT)
     g = M([[1, 2], [0, 1]], X2, X2, NAT)

@@ -139,6 +139,24 @@ def test_purity_verdicts_exact():
         qt.is_pure_choi(qt.s_identity(get_semiring("nat"), (Q2,)))
 
 
+@pytest.mark.parametrize("sid", ["ratnn", "rat", "gf2 3"])
+def test_purity_verdicts_exact_other_fields(sid):
+    sr = get_semiring(sid)
+    ident = [[sr.one, sr.zero], [sr.zero, sr.one]]
+    assert qt.is_pure_choi(qt.double(sr, ident, (Q2,), (Q2,)))
+    assert not qt.is_pure_choi(qt.decoherence_superop(sr, Q2))
+
+
+def test_equal_superoperators_from_separate_lookups_compare_equal():
+    f = qt.s_identity(get_semiring("ratnn"), (Q2,))
+    g = qt.s_identity(get_semiring("ratnn"), (Q2,))
+    assert f == g and hash(f) == hash(g)
+    cf = get_semiring("complex-f64", tolerance=1e-3)
+    assert cf is not CF
+    with pytest.raises(mc.ShapeError, match="semiring mismatch"):
+        qt.s_compose(qt.s_identity(CF, (Q2,)), qt.s_identity(cf, (Q2,)))
+
+
 def test_purity_verdicts_float():
     th = 0.3
     u = [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]

@@ -1,11 +1,15 @@
 """Semiring instances: laws, literals, positivity, scalar sub-semirings."""
 
+import pathlib
 import random
+import re
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+import catprob
 from catprob.semirings import (
     ConditioningError,
     SemiringError,
@@ -25,6 +29,51 @@ EXACT_IDS = ["bool", "nat", "ratnn", "rat", "gauss-rat", "split-rat", "gf 3", "g
 def test_axioms_hold(sid):
     sr = get_semiring(sid)
     assert axioms_check(sr, budget=80, seed=3) == []
+
+
+@pytest.mark.parametrize("sid", EXACT_IDS + ["complex-f64", "gf2 3"])
+def test_get_semiring_returns_one_instance_per_id(sid):
+    sr = get_semiring(sid)
+    assert get_semiring(sid) is sr
+    assert get_semiring(" " + sid.replace(" ", "   ") + " ") is sr
+
+
+def test_instances_differ_by_id_and_tolerance():
+    assert get_semiring("gf 3") is get_semiring("gf 03")
+    assert get_semiring("gf 3") is not get_semiring("gf2 3")
+    assert get_semiring("ratnn") is get_semiring("ratnn", tolerance=1e-3)  # exact: no tolerance
+    loose = get_semiring("complex-f64", tolerance=1e-6)
+    assert loose is not get_semiring("complex-f64")
+    assert loose is get_semiring("complex-f64", tolerance=1e-6)
+    assert positive_part(loose).ring is positive_part(loose).ring
+    assert positive_part(loose).ring is not positive_part(get_semiring("complex-f64")).ring
+
+
+def test_large_finite_carriers_are_lazy():
+    start = time.perf_counter()
+    sr = get_semiring("gf2 1000003")
+    assert time.perf_counter() - start < 1.0
+    rep = is_positive(sr)
+    assert rep.positive is False
+    assert len(rep.witness) == 1000003 and set(rep.witness) == {sr.one}
+    small = get_semiring("gf2 3")
+    assert list(small.elements) == list(small.elements) == [(a, b) for a in range(3) for b in range(3)]
+    assert list(get_semiring("gf 5").elements) == [0, 1, 2, 3, 4]
+
+
+def test_no_module_but_semirings_branches_on_a_semiring_id():
+    """Which semiring is which is known only to `semirings`: elsewhere an id
+    may be printed, never compared or parsed."""
+    src = pathlib.Path(catprob.__file__).parent
+    branch = re.compile(r"\.id\s*(==|!=|\bin\b|\bnot\s+in\b)|\.id\.(startswith|split)\b")
+    found = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "semirings.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if branch.search(line)
+    ]
+    assert found == []
 
 
 def test_unknown_id_rejected():

@@ -346,13 +346,12 @@ def backend_self_test(backend, seed: int = 0, rounds: int = 25) -> list:
             ),
             "discard does not respect tensor",
         )
-        n = backend.random_normalised(a, b, rng) if hasattr(backend, "random_normalised") else None
-        if n is not None:
-            chk(backend.is_normalised(n), "random normalised morphism fails normalisation")
-            chk(
-                backend.equal(backend.compose(backend.discard(b), n), backend.discard(a)),
-                "normalised process is not absorbed by discard",
-            )
+        n = backend.random_normalised(a, b, rng)
+        chk(backend.is_normalised(n), "random normalised morphism fails normalisation")
+        chk(
+            backend.equal(backend.compose(backend.discard(b), n), backend.discard(a)),
+            "normalised process is not absorbed by discard",
+        )
 
     # clause 1: the classical sub-theory embeds faithfully
     x = backend.classical_obj(["0", "1"])

@@ -109,16 +109,12 @@ def morphism(sr: Semiring, dom: Obj, cod: Obj, rows) -> Morphism:
     return Morphism(dom, cod, entries, sr)
 
 
-def from_literal(sr: Semiring, dom: Obj, cod: Obj, rows) -> Morphism:
-    """Build a morphism from row-major nested lists of element literals."""
-    return morphism(
-        sr, dom, cod, [[sr.parse(x) if isinstance(x, str) else x for x in row] for row in rows]
-    )
-
-
-def _check_same_sr(f: Morphism, g: Morphism):
-    if f.sr is not g.sr:
-        raise ShapeError(f"semiring mismatch: {f.sr.id} vs {g.sr.id}")
+def _same_semiring(a, b) -> Semiring:
+    """The semiring of both values; a ShapeError naming the two otherwise."""
+    if a.sr is not b.sr:
+        names = (sr.id if sr.exact else f"{sr.id} (tolerance {sr.tolerance})" for sr in (a.sr, b.sr))
+        raise ShapeError("semiring mismatch: {} vs {}".format(*names))
+    return a.sr
 
 
 # ---------------------------------------------------------------------------
@@ -138,27 +134,15 @@ def zero(sr: Semiring, dom: Obj, cod: Obj) -> Morphism:
 
 def compose(g: Morphism, f: Morphism) -> Morphism:
     """Sequential composition g . f (first f, then g): matrix product."""
-    _check_same_sr(f, g)
+    sr = _same_semiring(g, f)
     if f.cod != g.dom:
         raise ShapeError(f"cannot compose: cod {f.cod} != dom {g.dom}")
-    sr = f.sr
-    mid = f.cod.size
-    # structural zeros contribute nothing; skipping them keeps sparse products cheap
-    live = [[k for k in range(mid) if f.entries[k][c] != sr.zero] for c in range(f.dom.size)]
-    rows = tuple(
-        tuple(
-            sr.sum(sr.mul(g.entries[r][k], f.entries[k][c]) for k in live[c])
-            for c in range(f.dom.size)
-        )
-        for r in range(g.cod.size)
-    )
-    return Morphism(f.dom, g.cod, rows, sr)
+    return Morphism(f.dom, g.cod, sr.matmul(g.entries, f.entries), sr)
 
 
 def tensor(f: Morphism, g: Morphism) -> Morphism:
     """Parallel composition: the Kronecker product, first factor major."""
-    _check_same_sr(f, g)
-    sr = f.sr
+    sr = _same_semiring(f, g)
     dom = obj_tensor(f.dom, g.dom)
     cod = obj_tensor(f.cod, g.cod)
     rows = tuple(
@@ -174,10 +158,9 @@ def tensor(f: Morphism, g: Morphism) -> Morphism:
 
 
 def madd(f: Morphism, g: Morphism) -> Morphism:
-    _check_same_sr(f, g)
+    sr = _same_semiring(f, g)
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeError("sum needs matching shapes")
-    sr = f.sr
     rows = tuple(
         tuple(sr.add(a, b) for a, b in zip(rf, rg)) for rf, rg in zip(f.entries, g.entries)
     )

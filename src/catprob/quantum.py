@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import matcat
-from .matcat import Morphism, Obj, ShapeError
+from .matcat import Morphism, Obj, ShapeError, _same_semiring
 from .semirings import PositivePart, Semiring, SemiringError
 
 
@@ -172,29 +172,14 @@ def s_zero(sr: Semiring, dom: tuple, cod: tuple) -> Superoperator:
 
 
 def s_compose(g: Superoperator, f: Superoperator) -> Superoperator:
-    if f.sr is not g.sr:
-        raise ShapeError("semiring mismatch")
+    sr = _same_semiring(g, f)
     if f.cod != g.dom:
         raise ShapeError(f"cannot compose: cod {f.cod} != dom {g.dom}")
-    sr = f.sr
-    mid = doubled_dim(f.cod)
-    din = doubled_dim(f.dom)
-    # doubled matrices are mostly structural zeros; skip them in the inner sum
-    live = [[k for k in range(mid) if f.entries[k][c] != sr.zero] for c in range(din)]
-    rows = tuple(
-        tuple(
-            sr.sum(sr.mul(g.entries[r][k], f.entries[k][c]) for k in live[c])
-            for c in range(din)
-        )
-        for r in range(doubled_dim(g.cod))
-    )
-    return Superoperator(f.dom, g.cod, rows, sr)
+    return Superoperator(f.dom, g.cod, sr.matmul(g.entries, f.entries), sr)
 
 
 def s_tensor(f: Superoperator, g: Superoperator) -> Superoperator:
-    if f.sr is not g.sr:
-        raise ShapeError("semiring mismatch")
-    sr = f.sr
+    sr = _same_semiring(f, g)
     df, dg = doubled_dim(f.dom), doubled_dim(g.dom)
     rows = tuple(
         tuple(
@@ -330,18 +315,9 @@ def stack_environment(k: KrausFamily):
     return tuple(map(tuple, rows)), cod
 
 
-def quantum_discard(sr: Semiring, a: QWire) -> Superoperator:
-    return s_discard(sr, (a,))
-
-
 def decoherence_superop(sr: Semiring, a: QWire) -> Superoperator:
     """Standard-basis decoherence: kill all off-diagonal doubled entries."""
-    d = a.dim
-    rows = _zeros(d * d, d * d, sr.zero)
-    for i in range(d):
-        k = i * d + i
-        rows[k][k] = sr.one
-    return Superoperator((a,), (a,), tuple(map(tuple, rows)), sr)
+    return decoherence_all(sr, (a,))
 
 
 def decoherence_all(sr: Semiring, wires: tuple) -> Superoperator:

@@ -20,10 +20,12 @@ semantic equality in exact mode.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import and_, mul
 from typing import Any, Callable, Iterable, Optional
 
 
@@ -65,7 +67,12 @@ class Semiring:
       no R is tabulated;
     - `involution`: the name of `star`;
     - `distribution`: draws one random R-distribution on n outcomes;
-    - `elements`: the full carrier of a finite instance, lazily re-iterable.
+    - `elements`: the full carrier of a finite instance, lazily re-iterable;
+    - `matmul(g_rows, f_rows)`: the matrix product g . f of two row-major
+      tuples of row tuples (r x m times m x c gives r x c), the sequential
+      composition of Mat(S) and of its CPM doubling. Each constructor picks a
+      kernel for its representation; its results are `==` to the
+      zero-skipping `add`/`mul` loop, which is the default.
     """
 
     id: str
@@ -91,6 +98,11 @@ class Semiring:
     project: Callable[[Any], Any] = field(default=lambda x: x)
     involution: str = "identity"
     distribution: Callable[["Semiring", random.Random, int], list] = _weighted_column
+    matmul: Optional[Callable[[tuple, tuple], tuple]] = None
+
+    def __post_init__(self):
+        if self.matmul is None:
+            object.__setattr__(self, "matmul", _zero_skipping_matmul(self))
 
     @property
     def exact(self) -> bool:
@@ -182,9 +194,64 @@ def _parse_cf64(tok: str) -> complex:
     if tok.endswith("i"):
         tok = tok[:-1] + "j"
     try:
-        return complex(tok)
+        z = complex(tok)
     except ValueError as exc:
         raise SemiringError(f"bad complex literal: {tok!r}") from exc
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise SemiringError(f"complex literal must be finite: {tok!r}")
+    return z
+
+
+# ---------------------------------------------------------------------------
+# matrix product kernels: g_rows (r x m) times f_rows (m x c), row-major
+
+
+def _zero_skipping_matmul(sr: Semiring) -> Callable[[tuple, tuple], tuple]:
+    """The generic product through `sr.add` and `sr.mul`."""
+
+    def matmul(g_rows, f_rows):
+        # structural zeros contribute nothing; skipping them keeps sparse products cheap
+        live = [[(k, x) for k, x in enumerate(col) if x != sr.zero] for col in zip(*f_rows)]
+        return tuple(tuple(sr.sum(sr.mul(row[k], x) for k, x in col) for col in live) for row in g_rows)
+
+    return matmul
+
+
+def _by_inner_products(dot) -> Callable[[tuple, tuple], tuple]:
+    """The product whose (r, c) entry is dot(row r of g, column c of f). A float
+    `dot` that sums in the loop's order gives the loop's bits, because adding a
+    zero term leaves a finite sum unchanged."""
+
+    def matmul(g_rows, f_rows):
+        cols = list(zip(*f_rows))
+        return tuple(tuple(dot(row, col) for col in cols) for row in g_rows)
+
+    return matmul
+
+
+def _over_one_denominator(rows) -> tuple:
+    """(N, d) with N a Python-int matrix and rows = N / d."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _rat_matmul(g_rows, f_rows):
+    (g, dg), (f, df) = _over_one_denominator(g_rows), _over_one_denominator(f_rows)
+    return _by_inner_products(lambda row, col: Fraction(sum(map(mul, row, col)), dg * df))(g, f)
+
+
+def _pair_matmul(sq: int) -> Callable[[tuple, tuple], tuple]:
+    """a + bu with u^2 = sq, as the rational block product
+    [A B] . [[C, D], [sq D, C]] = [AC + sq BD, AD + BC]."""
+
+    def matmul(g_rows, f_rows):
+        n = len(f_rows[0])
+        g = [[x[0] for x in row] + [x[1] for x in row] for row in g_rows]
+        f = [[x[0] for x in row] + [x[1] for x in row] for row in f_rows]
+        f += [[sq * x[1] for x in row] + [x[0] for x in row] for row in f_rows]
+        return tuple(tuple(zip(row[:n], row[n:])) for row in _rat_matmul(g, f))
+
+    return matmul
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +275,7 @@ def _bool() -> Semiring:
         is_element=lambda a: isinstance(a, bool),
         scalars=lambda: get_semiring("bool"),
         distribution=_point_column,
+        matmul=_by_inner_products(lambda row, col: any(map(and_, row, col))),
     )
 
 
@@ -227,6 +295,7 @@ def _nat() -> Semiring:
         is_element=lambda a: isinstance(a, int) and a >= 0,
         scalars=lambda: get_semiring("nat"),
         distribution=_point_column,
+        matmul=_by_inner_products(lambda row, col: sum(map(mul, row, col), 0)),
     )
 
 
@@ -257,6 +326,7 @@ def _rat(nonneg: bool) -> Semiring:
         witness=None if nonneg else (lambda: (Fraction(1), Fraction(-1))),
         scalars=lambda: get_semiring("ratnn"),
         member=lambda x: x >= 0,
+        matmul=_rat_matmul,
     )
 
 
@@ -316,6 +386,7 @@ def _pair_ring(unit: str) -> Semiring:
         member=(lambda x: x[1] == 0 and x[0] >= 0) if gauss else (lambda x: x[1] == 0),
         project=lambda x: x[0],
         involution="complex conjugation" if gauss else "split-complex conjugation",
+        matmul=_pair_matmul(-1 if gauss else 1),
     )
 
 
@@ -343,6 +414,7 @@ def _gf(p: int) -> Semiring:
         is_element=lambda a: isinstance(a, int) and 0 <= a < p,
         neg=lambda a: (-a) % p,
         witness=lambda: (1,) * p,
+        matmul=_by_inner_products(lambda row, col: sum(map(mul, row, col)) % p),
     )
 
 
@@ -475,6 +547,7 @@ def _complex_f64(tolerance: float = 1e-9) -> Semiring:
         member=member,
         project=lambda x: complex(x).real,
         involution="complex conjugation",
+        matmul=_by_inner_products(lambda row, col: sum(map(mul, row, col), 0j)),
     )
 
 
@@ -495,6 +568,7 @@ def _real_nn_f64(tolerance: float = 1e-9) -> Semiring:
         tolerance=tolerance,
         is_element=lambda a: isinstance(a, (float, int)),
         neg=lambda a: -a,
+        matmul=_by_inner_products(lambda row, col: sum(map(mul, row, col), 0.0)),
     )
 
 

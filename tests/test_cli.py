@@ -1,6 +1,8 @@
 """The command-line front door: subcommands, exit codes, reproducibility."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -155,3 +157,28 @@ def test_missing_file_is_a_clean_error(capsys):
     code, _, err = run(capsys, "bell", "no-such.scn")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("literal", ["inf", "-inf", "nan", "1+infi"])
+def test_non_finite_complex_literals_are_usage_errors(capsys, tmp_path, literal):
+    f = tmp_path / "d.diag"
+    f.write_text(f"sys x classical 1\ngen f : x -> x = [[{literal}]]\nf\n")
+    code, out, err = run(capsys, "eval", "--semiring", "complex-f64", str(f))
+    assert code == 2 and out == ""
+    assert "complex literal must be finite" in err
+
+
+def test_bell_and_theory_check_do_not_import_numpy(tmp_path):
+    """numpy costs ~12 MB and ~80 ms to import; only purity tests and
+    purification may load it."""
+    script = (
+        "import sys\n"
+        "from catprob import cli\n"
+        f"assert cli.main(['--out', {str(tmp_path / 'out')!r}, 'bell', {os.path.join(SCEN, 'tsirelson.scn')!r}]) == 0\n"
+        f"assert cli.main(['--out', {str(tmp_path / 'out')!r}, 'theory-check', 'complex-f64', '--backend', 'quantum']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -50,6 +50,11 @@ def test_semirings_at_different_tolerances_do_not_mix():
         mc.compose(mc.identity(a, X2), mc.identity(b, X2))
     with pytest.raises(mc.ShapeError, match="semiring mismatch"):
         mc.tensor(mc.identity(a, X2), mc.identity(b, X2))
+    with pytest.raises(mc.ShapeError) as err:
+        mc.compose(mc.identity(a, X2), mc.identity(b, X2))
+    assert str(err.value) == (
+        "semiring mismatch: complex-f64 (tolerance 1e-09) vs complex-f64 (tolerance 0.001)"
+    )
 
 
 def test_matrix_product():

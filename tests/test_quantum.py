@@ -157,6 +157,15 @@ def test_equal_superoperators_from_separate_lookups_compare_equal():
         qt.s_compose(qt.s_identity(CF, (Q2,)), qt.s_identity(cf, (Q2,)))
 
 
+def test_semiring_mismatch_names_both_semirings():
+    rat = qt.s_identity(get_semiring("rat"), (Q2,))
+    gr = qt.s_identity(GR, (Q2,))
+    with pytest.raises(mc.ShapeError, match="^semiring mismatch: rat vs gauss-rat$"):
+        qt.s_compose(rat, gr)
+    with pytest.raises(mc.ShapeError, match="^semiring mismatch: gauss-rat vs rat$"):
+        qt.s_tensor(gr, rat)
+
+
 def test_purity_verdicts_float():
     th = 0.3
     u = [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]

@@ -14,6 +14,7 @@ double(f) (x) double(g) entry for entry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -109,9 +110,8 @@ class Superoperator:
     sr: Semiring
 
     def __post_init__(self):
-        if len(self.entries) != doubled_dim(self.cod) or any(
-            len(r) != doubled_dim(self.dom) for r in self.entries
-        ):
+        cols = doubled_dim(self.dom)
+        if len(self.entries) != doubled_dim(self.cod) or any(len(r) != cols for r in self.entries):
             raise ShapeError("superoperator entry shape mismatch")
 
     def __getitem__(self, rc):
@@ -252,18 +252,29 @@ def double(sr: Semiring, mat, dom: tuple, cod: tuple) -> Superoperator:
 
     `mat` is a plain cod-by-dom matrix (plain dims), nested sequences.
     """
+    dom, cod = tuple(dom), tuple(cod)
     mat = [list(r) for r in mat]
-    if len(mat) != plain_dim(cod) or any(len(r) != plain_dim(dom) for r in mat):
+    cols = plain_dim(dom)
+    if len(mat) != plain_dim(cod) or any(len(r) != cols for r in mat):
         raise ShapeError("pure matrix shape does not match the wire lists")
-    rows = _zeros(doubled_dim(cod), doubled_dim(dom), sr.zero)
-    for rp in index_pairs(cod):
-        y = plain_lin(cod, [i for i, _ in rp])
-        yp = plain_lin(cod, [j for _, j in rp])
-        for cp in index_pairs(dom):
-            x = plain_lin(dom, [i for i, _ in cp])
-            xp = plain_lin(dom, [j for _, j in cp])
-            rows[lin(cod, rp)][lin(dom, cp)] = sr.mul(mat[y][x], sr.star(mat[yp][xp]))
-    return Superoperator(tuple(dom), tuple(cod), tuple(map(tuple, rows)), sr)
+    conj = [list(map(sr.star, r)) for r in mat]
+    xs, xps = _plain_pairs(dom)
+    rows = tuple(
+        tuple(map(sr.mul, map(mat[y].__getitem__, xs), map(conj[yp].__getitem__, xps)))
+        for y, yp in zip(*_plain_pairs(cod))
+    )
+    return Superoperator(dom, cod, rows, sr)
+
+
+@functools.lru_cache(maxsize=64)
+def _plain_pairs(wires: tuple) -> tuple:
+    """The plain indices (y, y') of each doubled index of `wires`, as two
+    tuples in linearisation order."""
+    pairs = list(index_pairs(wires))
+    return (
+        tuple(plain_lin(wires, [i for i, _ in p]) for p in pairs),
+        tuple(plain_lin(wires, [j for _, j in p]) for p in pairs),
+    )
 
 
 @dataclass(frozen=True)

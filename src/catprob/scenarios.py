@@ -26,7 +26,7 @@ from . import matcat, quantum
 from .backend import ClassicalBackend, QuantumBackend
 from .bell import Party, Scenario, ScenarioError
 from .matcat import Morphism
-from .semirings import get_semiring
+from .semirings import SemiringError, get_semiring
 
 
 def parse_nested(src: str):
@@ -94,6 +94,20 @@ def _labels_spec(args) -> tuple:
     return tuple(args)
 
 
+def _tolerance(tok: str) -> float:
+    try:
+        return float(tok)
+    except ValueError:
+        raise SemiringError(f"bad tolerance: {tok!r}") from None
+
+
+def _count(key: str, tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ScenarioError(f"`{key}` needs an integer, got {tok!r}") from None
+
+
 @dataclass
 class _PartySpec:
     name: str
@@ -123,7 +137,7 @@ def parse_scenario_text(src: str) -> Scenario:
         if key == "semiring":
             srid = rest
         elif key == "tolerance":
-            tolerance = float(rest)
+            tolerance = _tolerance(rest)
         elif key == "backend":
             backend_kind = rest
         elif key == "state":
@@ -138,9 +152,9 @@ def parse_scenario_text(src: str) -> Scenario:
         elif cur is not None and key == "outcomes":
             cur.outcomes = _labels_spec(rest.split())
         elif cur is not None and key == "dim":
-            cur.dim = int(rest)
+            cur.dim = _count(key, rest)
         elif cur is not None and key == "size":
-            cur.size = int(rest)
+            cur.size = _count(key, rest)
         elif cur is not None and key == "kraus":
             choice, _, lit = rest.partition(" ")
             cur.kraus[choice] = [parse_nested(b) for b in split_blocks(lit)]

@@ -72,7 +72,12 @@ class Semiring:
       tuples of row tuples (r x m times m x c gives r x c), the sequential
       composition of Mat(S) and of its CPM doubling. Each constructor picks a
       kernel for its representation; its results are `==` to the
-      zero-skipping `add`/`mul` loop, which is the default.
+      zero-skipping `add`/`mul` loop, which is the default. Every kernel runs
+      only on the live block: the inner indices whose row of f is not all
+      zero, the rows of g and the columns of f not all zero on them. The
+      rest of the r x c result is `zero`. Classical wires of a CPM matrix
+      keep only their diagonal, so most of its rows and columns are zero.
+      Products of fewer than 64 multiply-adds skip this scan.
     """
 
     id: str
@@ -101,8 +106,8 @@ class Semiring:
     matmul: Optional[Callable[[tuple, tuple], tuple]] = None
 
     def __post_init__(self):
-        if self.matmul is None:
-            object.__setattr__(self, "matmul", _zero_skipping_matmul(self))
+        kernel = self.matmul or _zero_skipping_matmul(self)
+        object.__setattr__(self, "matmul", _on_live_block(kernel, self.zero))
 
     @property
     def exact(self) -> bool:
@@ -179,6 +184,23 @@ def _parse_pair(tok: str, unit: str) -> tuple:
     return (_parse_frac(re_part or "0"), im)
 
 
+_BOOLS = {"0": False, "1": True, "true": True, "false": False}
+
+
+def _parse_bool(tok: str) -> bool:
+    try:
+        return _BOOLS[tok.strip().lower()]
+    except KeyError:
+        raise SemiringError(f"bad bool literal: {tok.strip()!r}") from None
+
+
+def _parse_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise SemiringError(f"bad integer literal: {tok.strip()!r}") from None
+
+
 def _fmt_pair(x: tuple, unit: str) -> str:
     a, b = x
     if b == 0:
@@ -213,6 +235,49 @@ def _zero_skipping_matmul(sr: Semiring) -> Callable[[tuple, tuple], tuple]:
         # structural zeros contribute nothing; skipping them keeps sparse products cheap
         live = [[(k, x) for k, x in enumerate(col) if x != sr.zero] for col in zip(*f_rows)]
         return tuple(tuple(sr.sum(sr.mul(row[k], x) for k, x in col) for col in live) for row in g_rows)
+
+    return matmul
+
+
+# Below this many multiply-adds (r * m * c) the scan for zero lines costs about
+# as much as it can save, so small products go straight to the kernel.
+_MIN_SCANNED_PRODUCT = 64
+
+
+def _on_live_block(kernel, zero) -> Callable[[tuple, tuple], tuple]:
+    """`kernel` restricted to the live block of g . f (see `Semiring.matmul`).
+
+    A row or column is tested by one tuple comparison with a row of zeros,
+    which stops at the first nonzero entry, so a dense product pays
+    O(r + m + c) comparisons and gets its operands unchanged."""
+
+    def matmul(g_rows, f_rows):
+        c = len(f_rows[0]) if f_rows else 0
+        if len(g_rows) * len(f_rows) * c < _MIN_SCANNED_PRODUCT:
+            return kernel(g_rows, f_rows)
+        zm, zc = (zero,) * len(f_rows), (zero,) * c
+        if zc not in f_rows and zm not in g_rows and zm not in zip(*f_rows):
+            return kernel(g_rows, f_rows)
+        inner = [t for t, row in enumerate(f_rows) if row != zc]
+        if len(inner) < len(f_rows):
+            f_rows = [f_rows[t] for t in inner]
+            g_rows = [tuple(map(row.__getitem__, inner)) for row in g_rows]
+            zm = (zero,) * len(inner)
+        rows = [i for i, row in enumerate(g_rows) if row != zm]
+        cols = [j for j, col in enumerate(zip(*f_rows)) if col != zm]
+        out = [zc] * len(g_rows)
+        if not (rows and cols):
+            return tuple(out)
+        if len(cols) < c:
+            f_rows = [tuple(map(row.__getitem__, cols)) for row in f_rows]
+        for i, row in zip(rows, kernel([g_rows[i] for i in rows], f_rows)):
+            if len(cols) < c:
+                full = list(zc)
+                for j, x in zip(cols, row):
+                    full[j] = x
+                row = tuple(full)
+            out[i] = row
+        return tuple(out)
 
     return matmul
 
@@ -269,7 +334,7 @@ def _bool() -> Semiring:
         invertible=lambda a: a is True or a == 1,
         inv=lambda a: True,
         sample=lambda rng: rng.random() < 0.5,
-        parse=lambda s: {"0": False, "1": True, "true": True, "false": False}[s.strip().lower()],
+        parse=_parse_bool,
         fmt=lambda a: "1" if a else "0",
         elements=(False, True),
         is_element=lambda a: isinstance(a, bool),
@@ -290,7 +355,7 @@ def _nat() -> Semiring:
         invertible=lambda a: a == 1,
         inv=lambda a: 1,
         sample=lambda rng: rng.randrange(0, 5),
-        parse=lambda s: int(s),
+        parse=_parse_int,
         fmt=str,
         is_element=lambda a: isinstance(a, int) and a >= 0,
         scalars=lambda: get_semiring("nat"),
@@ -408,7 +473,7 @@ def _gf(p: int) -> Semiring:
         invertible=lambda a: a % p != 0,
         inv=lambda a: pow(a, p - 2, p),
         sample=lambda rng: rng.randrange(p),
-        parse=lambda s: int(s) % p,
+        parse=lambda s: _parse_int(s) % p,
         fmt=str,
         elements=range(p),
         is_element=lambda a: isinstance(a, int) and 0 <= a < p,
@@ -448,6 +513,9 @@ class _PairsMod:
 
     def __iter__(self):
         return itertools.product(range(self.p), repeat=2)
+
+    def __len__(self):
+        return self.p * self.p
 
 
 def _gf2(p: int) -> Semiring:
@@ -509,13 +577,16 @@ def _gf2(p: int) -> Semiring:
 
 def _split_gf2_literal(s: str):
     s = s.strip().replace(" ", "")
-    if "t" not in s:
-        return (int(s), 0)
-    head, _, _ = s.partition("t")
-    if "+" in head[1:]:
-        k = head.rindex("+")
-        return (int(head[:k]), int(head[k + 1 :] or "1"))
-    return (0, int(head or "1"))
+    head, t, _ = s.partition("t")
+    try:
+        if not t:
+            return (int(s), 0)
+        if "+" in head[1:]:
+            k = head.rindex("+")
+            return (int(head[:k]), int(head[k + 1 :] or "1"))
+        return (0, int(head or "1"))
+    except ValueError:
+        raise SemiringError(f"bad gf2 literal: {s!r}") from None
 
 
 def _complex_f64(tolerance: float = 1e-9) -> Semiring:
@@ -754,10 +825,11 @@ def scalar_subsemiring(sr: Semiring) -> Semiring:
 
 
 def verify_positive_part(pp: PositivePart, samples: int = 200, seed: int = 11) -> None:
-    """Check that every x* x lies in R (exhaustive for finite S, sampled else)."""
+    """Check that every x* x lies in R: over the whole carrier when S is finite
+    with at most `samples` elements, else over `samples` seeded samples."""
     sr = pp.ambient
     xs = sr.elements
-    if xs is None:
+    if xs is None or len(xs) > samples:
         rng = random.Random(seed)
         xs = [sr.sample(rng) for _ in range(samples)]
     for x in xs:

@@ -182,3 +182,28 @@ def test_bell_and_theory_check_do_not_import_numpy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _run_process(*argv):
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "catprob.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("line,token", [("tolerance abc", "'abc'"), ("party A\ndim x", "'x'")])
+def test_bad_scenario_numbers_are_usage_errors(tmp_path, line, token):
+    f = tmp_path / "s.scn"
+    f.write_text(f"semiring complex-f64\n{line}\n")
+    proc = _run_process("bell", str(f))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and token in proc.stderr
+
+
+def test_bad_bool_literal_is_a_usage_error(tmp_path):
+    f = tmp_path / "d.diag"
+    f.write_text("sys x classical 1\n2 . id[x]\n")
+    proc = _run_process("eval", "--semiring", "bool", str(f))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "'2'" in proc.stderr

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import catprob.matcat as mc
 import catprob.quantum as qt
+from catprob import semirings
 from catprob.semirings import get_semiring, positive_part
 
 SEMIRING_IDS = (
@@ -110,3 +111,50 @@ def test_states_and_effects_match_the_reference_loop(sr, shape):
     g_rows = tuple(tuple(sr.sample(rng) for _ in range(m)) for _ in range(r))
     f_rows = tuple(tuple(sr.sample(rng) for _ in range(c)) for _ in range(m))
     assert_same_product(sr, sr.matmul(g_rows, f_rows), reference_product(sr, g_rows, f_rows))
+
+
+# Products of fewer multiply-adds than this skip the scan for zero lines.
+SCANNED = semirings._MIN_SCANNED_PRODUCT
+
+
+@st.composite
+def operands_with_zero_lines(draw, sr):
+    """Dense (g, f) with some rows of g, rows of f and columns of f forced to
+    zero, each of r, m, c at least 4, so that r * m * c >= SCANNED."""
+    g_rows, f_rows = draw(operands(sr, st.integers(4, 7)))
+    r, m, c = len(g_rows), len(f_rows), len(f_rows[0])
+    dead = lambda n: draw(st.sets(st.integers(0, n - 1), max_size=n))
+    g_dead, f_dead, col_dead = dead(r), dead(m), dead(c)
+    g_rows = tuple((sr.zero,) * m if i in g_dead else row for i, row in enumerate(g_rows))
+    f_rows = tuple(
+        (sr.zero,) * c if t in f_dead else tuple(sr.zero if j in col_dead else x for j, x in enumerate(row))
+        for t, row in enumerate(f_rows)
+    )
+    return g_rows, f_rows
+
+
+@pytest.mark.parametrize("sr", SEMIRINGS, **_BY_ID)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_zero_rows_and_columns_are_skipped_exactly(sr, data):
+    g_rows, f_rows = data.draw(operands_with_zero_lines(sr))
+    assert len(g_rows) * len(f_rows) * len(f_rows[0]) >= SCANNED
+    got = sr.matmul(g_rows, f_rows)
+    assert len(got) == len(g_rows) and all(len(row) == len(f_rows[0]) for row in got)
+    assert_same_product(sr, got, reference_product(sr, g_rows, f_rows))
+
+
+@pytest.mark.parametrize("sr", SEMIRINGS, **_BY_ID)
+@pytest.mark.parametrize("zero_side", ["g", "f"])
+def test_an_all_zero_operand_gives_the_zero_matrix(sr, zero_side):
+    rng = random.Random(zero_side)
+    r, m, c = 4, 4, 4
+    assert r * m * c >= SCANNED
+    g_rows = tuple(tuple(sr.sample(rng) for _ in range(m)) for _ in range(r))
+    f_rows = tuple(tuple(sr.sample(rng) for _ in range(c)) for _ in range(m))
+    if zero_side == "g":
+        g_rows = ((sr.zero,) * m,) * r
+    else:
+        f_rows = ((sr.zero,) * c,) * m
+    got = sr.matmul(g_rows, f_rows)
+    assert got == ((sr.zero,) * c,) * r == reference_product(sr, g_rows, f_rows)

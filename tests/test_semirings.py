@@ -175,9 +175,18 @@ def test_brute_force_witness_search_agrees_on_small_fields():
     ("gauss-rat", "ratnn"), ("rat", "ratnn"), ("split-rat", "rat"),
     ("bool", "bool"), ("ratnn", "ratnn"), ("nat", "nat"),
     ("gf2 2", "gf 2"), ("gf2 3", "gf 3"), ("complex-f64", "real-f64"),
+    ("gf2 1009", "gf 1009"),  # samples the carrier: enumerating it took 10 s
 ])
 def test_scalar_subsemiring_table(sid, rid):
     assert scalar_subsemiring(get_semiring(sid)).id == rid
+
+
+@pytest.mark.parametrize("sid,literal", [
+    ("bool", "2"), ("nat", "x"), ("gf 3", "1.5"), ("gf2 3", "1+xt"),
+])
+def test_bad_literals_name_the_token(sid, literal):
+    with pytest.raises(SemiringError, match=re.escape(repr(literal))):
+        get_semiring(sid).parse(literal)
 
 
 AMBIENT_IDS = ["bool", "nat", "ratnn", "rat", "gauss-rat", "split-rat", "gf2 2", "gf2 5"]

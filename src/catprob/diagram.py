@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .matcat import ShapeError
+from .matcat import Morphism, ShapeError
 from .scenarios import parse_nested
 from .semirings import get_semiring
 
@@ -461,12 +461,6 @@ def evaluate(typed: Typed, backend, decls: Declarations, bindings: dict):
         else:
             sys_objs[name] = backend.quantum_obj(s.size)
 
-    def obj_of(names: tuple):
-        o = backend.unit
-        for w in names:
-            o = backend.obj_tensor(o, sys_objs[w])
-        return o
-
     def gen_value(name: str, node):
         if name in bindings:
             return bindings[name]
@@ -477,11 +471,7 @@ def evaluate(typed: Typed, backend, decls: Declarations, bindings: dict):
             raise DiagramTypeError(
                 f"{_at(node)}: inline generator matrices are classical-only; bind {name!r} explicitly"
             )
-        from .matcat import Morphism
-
-        sr = backend.sr
-        entries = tuple(tuple(sr.parse(x) for x in row) for row in g.matrix)
-        return Morphism(obj_of(g.dom), obj_of(g.cod), entries, sr)
+        return _literal_morphism(backend, sys_objs, g, g.matrix)
 
     def go(t: Typed):
         n = t.node
@@ -496,13 +486,14 @@ def evaluate(typed: Typed, backend, decls: Declarations, bindings: dict):
             return backend.scale(s, go(t.children[0]))
         if isinstance(n, Gen):
             v = gen_value(n.name, n)
-            if backend.dom(v) != obj_of(t.dom) or backend.cod(v) != obj_of(t.cod):
+            want = (_obj_of(backend, sys_objs, t.dom), _obj_of(backend, sys_objs, t.cod))
+            if (backend.dom(v), backend.cod(v)) != want:
                 raise DiagramTypeError(
                     f"{_at(n)}: binding for {n.name!r} has the wrong shape"
                 )
             return v
         if isinstance(n, Id):
-            return backend.identity(obj_of(n.wires))
+            return backend.identity(_obj_of(backend, sys_objs, n.wires))
         if isinstance(n, Swap):
             return backend.swap(sys_objs[n.a], sys_objs[n.b])
         if isinstance(n, Disc):
@@ -514,6 +505,22 @@ def evaluate(typed: Typed, backend, decls: Declarations, bindings: dict):
         raise TypeError(f"unknown node {n!r}")
 
     return go(typed)
+
+
+def _obj_of(backend, sys_objs: dict, names: tuple):
+    """The backend object of a wire list of declared system names."""
+    o = backend.unit
+    for w in names:
+        o = backend.obj_tensor(o, sys_objs[w])
+    return o
+
+
+def _literal_morphism(backend, sys_objs: dict, gen, nested):
+    """The classical morphism of generator `gen` from nested literal rows."""
+    sr = backend.sr
+    entries = tuple(tuple(sr.parse(x) for x in row) for row in nested)
+    dom, cod = (_obj_of(backend, sys_objs, names) for names in (gen.dom, gen.cod))
+    return Morphism(dom, cod, entries, sr)
 
 
 def run_document(doc: Document, backend, bindings: dict = None):
@@ -561,26 +568,14 @@ def load_bindings(src: str, backend):
 
 def bind_generators(doc: Document, backend, raw: dict):
     """Materialise raw nested-literal bindings as backend morphisms."""
-    from .matcat import Morphism
-
     if backend.kind != "classical":
         raise DiagramTypeError("literal bindings files are classical-only")
     sys_objs = {
         name: backend.classical_obj(s.labels) for name, s in doc.decls.systems.items()
     }
-
-    def obj_of(names):
-        o = backend.unit
-        for w in names:
-            o = backend.obj_tensor(o, sys_objs[w])
-        return o
-
     out = {}
-    sr = backend.sr
     for name, nested in raw.items():
         if name not in doc.decls.generators:
             raise DiagramTypeError(f"binding for undeclared generator {name!r}")
-        g = doc.decls.generators[name]
-        entries = tuple(tuple(sr.parse(x) for x in row) for row in nested)
-        out[name] = Morphism(obj_of(g.dom), obj_of(g.cod), entries, sr)
+        out[name] = _literal_morphism(backend, sys_objs, doc.decls.generators[name], nested)
     return out

@@ -72,12 +72,11 @@ class Morphism:
     sr: Semiring
 
     def __post_init__(self):
-        if len(self.entries) != self.cod.size or any(
-            len(row) != self.dom.size for row in self.entries
-        ):
+        rows, cols = self.cod.size, self.dom.size
+        if len(self.entries) != rows or any(len(row) != cols for row in self.entries):
             raise ShapeError(
                 f"entry shape {len(self.entries)}x{len(self.entries[0]) if self.entries else 0}"
-                f" does not match {self.cod.size}x{self.dom.size}"
+                f" does not match {rows}x{cols}"
             )
 
     def __getitem__(self, rc):
@@ -118,6 +117,46 @@ def _same_semiring(a, b) -> Semiring:
 
 
 # ---------------------------------------------------------------------------
+# entry loops, shared with the doubled matrices of `quantum`: `f` and `g` may
+# be any values with `dom`, `cod`, `sr` and row-tuple `entries`
+
+
+def _kron(sr: Semiring, f_rows, g_rows) -> tuple:
+    """The Kronecker product of two row-tuple matrices, first factor major."""
+    mul = sr.mul
+    return tuple(
+        tuple([mul(a, b) for a in rf for b in rg]) for rf in f_rows for rg in g_rows
+    )
+
+
+def _sum_rows(f, g) -> tuple:
+    """The entrywise sum f + g of two values of one semiring and shape."""
+    sr = _same_semiring(f, g)
+    if f.dom != g.dom or f.cod != g.cod:
+        raise ShapeError("sum needs matching shapes")
+    return tuple(tuple(map(sr.add, rf, rg)) for rf, rg in zip(f.entries, g.entries))
+
+
+def _scaled_rows(s, f) -> tuple:
+    """The entries of f, each x replaced by s x."""
+    mul = f.sr.mul
+    return tuple(tuple([mul(s, x) for x in row]) for row in f.entries)
+
+
+def _first_difference(f, g):
+    """The first (row, col, lhs, rhs) where f and g differ under f's `eq`,
+    (-1, -1, None, None) if their shapes differ, or None."""
+    if f.dom != g.dom or f.cod != g.cod:
+        return (-1, -1, None, None)
+    eq = f.sr.eq
+    for r, (rf, rg) in enumerate(zip(f.entries, g.entries)):
+        for c, (a, b) in enumerate(zip(rf, rg)):
+            if not eq(a, b):
+                return (r, c, a, b)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # SMC structure
 
 
@@ -143,35 +182,17 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 def tensor(f: Morphism, g: Morphism) -> Morphism:
     """Parallel composition: the Kronecker product, first factor major."""
     sr = _same_semiring(f, g)
-    dom = obj_tensor(f.dom, g.dom)
-    cod = obj_tensor(f.cod, g.cod)
-    rows = tuple(
-        tuple(
-            sr.mul(f.entries[rf][cf], g.entries[rg][cg])
-            for cf in range(f.dom.size)
-            for cg in range(g.dom.size)
-        )
-        for rf in range(f.cod.size)
-        for rg in range(g.cod.size)
+    return Morphism(
+        obj_tensor(f.dom, g.dom), obj_tensor(f.cod, g.cod), _kron(sr, f.entries, g.entries), sr
     )
-    return Morphism(dom, cod, rows, sr)
 
 
 def madd(f: Morphism, g: Morphism) -> Morphism:
-    sr = _same_semiring(f, g)
-    if f.dom != g.dom or f.cod != g.cod:
-        raise ShapeError("sum needs matching shapes")
-    rows = tuple(
-        tuple(sr.add(a, b) for a, b in zip(rf, rg)) for rf, rg in zip(f.entries, g.entries)
-    )
-    return Morphism(f.dom, f.cod, rows, sr)
+    return Morphism(f.dom, f.cod, _sum_rows(f, g), f.sr)
 
 
 def scale(s, f: Morphism) -> Morphism:
-    sr = f.sr
-    return Morphism(
-        f.dom, f.cod, tuple(tuple(sr.mul(s, x) for x in row) for row in f.entries), sr
-    )
+    return Morphism(f.dom, f.cod, _scaled_rows(s, f), f.sr)
 
 
 def msum(fs) -> Morphism:
@@ -183,22 +204,12 @@ def msum(fs) -> Morphism:
 
 
 def equal(f: Morphism, g: Morphism) -> bool:
-    if f.dom != g.dom or f.cod != g.cod:
-        return False
-    sr = f.sr
-    return all(sr.eq(a, b) for rf, rg in zip(f.entries, g.entries) for a, b in zip(rf, rg))
+    return _first_difference(f, g) is None
 
 
 def first_difference(f: Morphism, g: Morphism):
     """The first (row, col, lhs, rhs) where the two matrices differ, or None."""
-    if f.dom != g.dom or f.cod != g.cod:
-        return (-1, -1, None, None)
-    sr = f.sr
-    for r, (rf, rg) in enumerate(zip(f.entries, g.entries)):
-        for c, (a, b) in enumerate(zip(rf, rg)):
-            if not sr.eq(a, b):
-                return (r, c, a, b)
-    return None
+    return _first_difference(f, g)
 
 
 def swap(sr: Semiring, a: Obj, b: Obj) -> Morphism:

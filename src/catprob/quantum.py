@@ -9,7 +9,13 @@ is what makes the wire classical.
 The global index of a wire list is the mixed-radix number with digits
 (i_1, i_1', i_2, i_2', ...), row-major with the first wire major. Under this
 fixed linearisation doubling is functorial: double(f (x) g) equals
-double(f) (x) double(g) entry for entry.
+double(f) (x) double(g) entry for entry. `_plain_pairs` is the one place
+that maps a doubled index to its plain indices (y, y'); every construction
+that needs the layout reads it from there.
+
+A superoperator is a Mat(S) matrix on doubled indices, so its tensor, sum,
+scaling and equality run `matcat`'s entry loops, and its product runs
+`Semiring.matmul`, behind this module's wire checks.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import matcat
-from .matcat import Morphism, Obj, ShapeError, _same_semiring
+from .matcat import (
+    Morphism, Obj, ShapeError, _first_difference, _kron, _same_semiring, _scaled_rows, _sum_rows,
+)
 from .semirings import PositivePart, Semiring, SemiringError
 
 
@@ -157,9 +165,8 @@ def _zeros(rows: int, cols: int, z):
 def s_identity(sr: Semiring, wires: tuple) -> Superoperator:
     n = doubled_dim(wires)
     rows = _zeros(n, n, sr.zero)
-    for pairs in index_pairs(wires):
+    for i, pairs in enumerate(index_pairs(wires)):
         if _classical_diagonal(wires, pairs):
-            i = lin(wires, pairs)
             rows[i][i] = sr.one
     return Superoperator(tuple(wires), tuple(wires), tuple(map(tuple, rows)), sr)
 
@@ -180,39 +187,19 @@ def s_compose(g: Superoperator, f: Superoperator) -> Superoperator:
 
 def s_tensor(f: Superoperator, g: Superoperator) -> Superoperator:
     sr = _same_semiring(f, g)
-    df, dg = doubled_dim(f.dom), doubled_dim(g.dom)
-    rows = tuple(
-        tuple(
-            sr.mul(f.entries[rf][cf], g.entries[rg][cg]) for cf in range(df) for cg in range(dg)
-        )
-        for rf in range(doubled_dim(f.cod))
-        for rg in range(doubled_dim(g.cod))
-    )
-    return Superoperator(f.dom + g.dom, f.cod + g.cod, rows, sr)
+    return Superoperator(f.dom + g.dom, f.cod + g.cod, _kron(sr, f.entries, g.entries), sr)
 
 
 def s_add(f: Superoperator, g: Superoperator) -> Superoperator:
-    if f.dom != g.dom or f.cod != g.cod or f.sr is not g.sr:
-        raise ShapeError("sum needs matching shapes")
-    sr = f.sr
-    rows = tuple(
-        tuple(sr.add(a, b) for a, b in zip(rf, rg)) for rf, rg in zip(f.entries, g.entries)
-    )
-    return Superoperator(f.dom, f.cod, rows, sr)
+    return Superoperator(f.dom, f.cod, _sum_rows(f, g), f.sr)
 
 
 def s_scale(s, f: Superoperator) -> Superoperator:
-    sr = f.sr
-    return Superoperator(
-        f.dom, f.cod, tuple(tuple(sr.mul(s, x) for x in row) for row in f.entries), sr
-    )
+    return Superoperator(f.dom, f.cod, _scaled_rows(s, f), f.sr)
 
 
 def s_equal(f: Superoperator, g: Superoperator) -> bool:
-    if f.dom != g.dom or f.cod != g.cod:
-        return False
-    sr = f.sr
-    return all(sr.eq(a, b) for rf, rg in zip(f.entries, g.entries) for a, b in zip(rf, rg))
+    return _first_difference(f, g) is None
 
 
 def s_swap(sr: Semiring, a, b) -> Superoperator:
@@ -233,9 +220,8 @@ def s_swap(sr: Semiring, a, b) -> Superoperator:
 def s_discard(sr: Semiring, wires: tuple) -> Superoperator:
     """Trace on quantum wires, marginalisation on classical wires."""
     row = [sr.zero] * doubled_dim(wires)
-    for pairs in index_pairs(wires):
-        if all(i == j for (i, j) in pairs):
-            row[lin(wires, pairs)] = sr.one
+    for k in _diagonal(wires):
+        row[k] = sr.one
     return Superoperator(tuple(wires), (), (tuple(row),), sr)
 
 
@@ -269,12 +255,19 @@ def double(sr: Semiring, mat, dom: tuple, cod: tuple) -> Superoperator:
 @functools.lru_cache(maxsize=64)
 def _plain_pairs(wires: tuple) -> tuple:
     """The plain indices (y, y') of each doubled index of `wires`, as two
-    tuples in linearisation order."""
+    tuples in linearisation order: the one map from doubled to plain
+    indices."""
     pairs = list(index_pairs(wires))
     return (
         tuple(plain_lin(wires, [i for i, _ in p]) for p in pairs),
         tuple(plain_lin(wires, [j for _, j in p]) for p in pairs),
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _diagonal(wires: tuple) -> tuple:
+    """The doubled index of each (y, y), in plain order y = 0, 1, ..."""
+    return tuple(k for k, (y, yp) in enumerate(zip(*_plain_pairs(wires))) if y == yp)
 
 
 @dataclass(frozen=True)
@@ -315,15 +308,8 @@ def stack_environment(k: KrausFamily):
 
     Returns (pure matrix, wire list cod + (QWire(env_dim),)).
     """
-    env = QWire(k.env_dim)
-    cod = k.cod + (env,)
-    dc = plain_dim(k.cod)
-    rows = _zeros(dc * k.env_dim, plain_dim(k.dom), k.sr.zero)
-    for e, m in enumerate(k.elements):
-        for y in range(dc):
-            for x in range(plain_dim(k.dom)):
-                rows[y * k.env_dim + e][x] = m[y][x]
-    return tuple(map(tuple, rows)), cod
+    rows = tuple(tuple(m[y]) for y in range(plain_dim(k.cod)) for m in k.elements)
+    return rows, k.cod + (QWire(k.env_dim),)
 
 
 def decoherence_superop(sr: Semiring, a: QWire) -> Superoperator:
@@ -336,10 +322,8 @@ def decoherence_all(sr: Semiring, wires: tuple) -> Superoperator:
     classical wires, which are diagonal already)."""
     n = doubled_dim(wires)
     rows = _zeros(n, n, sr.zero)
-    for pairs in index_pairs(wires):
-        if all(i == j for (i, j) in pairs):
-            k = lin(wires, pairs)
-            rows[k][k] = sr.one
+    for k in _diagonal(wires):
+        rows[k][k] = sr.one
     return Superoperator(tuple(wires), tuple(wires), tuple(map(tuple, rows)), sr)
 
 
@@ -361,17 +345,9 @@ def classical_extract(phi: Superoperator, pp: PositivePart) -> Morphism:
     """
     if not is_decoherence_invariant(phi):
         raise NotDecoheredError("superoperator is not decoherence-invariant")
-    dom_obj = _wires_as_obj(phi.dom)
-    cod_obj = _wires_as_obj(phi.cod)
-    rows = []
-    for ds in itertools.product(*(range(w.size) for w in phi.cod)):
-        r = lin(phi.cod, [(i, i) for i in ds])
-        row = []
-        for cs in itertools.product(*(range(w.size) for w in phi.dom)):
-            c = lin(phi.dom, [(i, i) for i in cs])
-            row.append(pp.retract(phi.entries[r][c]))
-        rows.append(tuple(row))
-    return Morphism(dom_obj, cod_obj, tuple(rows), pp.ring)
+    cols = _diagonal(phi.dom)
+    rows = tuple(tuple(pp.retract(phi.entries[r][c]) for c in cols) for r in _diagonal(phi.cod))
+    return Morphism(_wires_as_obj(phi.dom), _wires_as_obj(phi.cod), rows, pp.ring)
 
 
 def classical_embed(f: Morphism, pp: PositivePart, dom: tuple = None, cod: tuple = None) -> Superoperator:
@@ -382,21 +358,11 @@ def classical_embed(f: Morphism, pp: PositivePart, dom: tuple = None, cod: tuple
     if plain_dim(dom) != f.dom.size or plain_dim(cod) != f.cod.size:
         raise ShapeError("wire lists do not match the classical matrix shape")
     rows = _zeros(doubled_dim(cod), doubled_dim(dom), sr.zero)
-    for y in range(f.cod.size):
-        r = lin(cod, _diag_digits(cod, y))
-        for x in range(f.dom.size):
-            c = lin(dom, _diag_digits(dom, x))
-            rows[r][c] = pp.embed(f.entries[y][x])
+    cols = _diagonal(dom)
+    for r, frow in zip(_diagonal(cod), f.entries):
+        for c, x in zip(cols, frow):
+            rows[r][c] = pp.embed(x)
     return Superoperator(dom, cod, tuple(map(tuple, rows)), sr)
-
-
-def _diag_digits(wires: tuple, flat: int):
-    digits = []
-    for w in reversed(wires):
-        digits.append(flat % w.size)
-        flat //= w.size
-    digits.reverse()
-    return [(i, i) for i in digits]
 
 
 def _wires_as_obj(wires: tuple) -> Obj:
@@ -411,16 +377,14 @@ def _wires_as_obj(wires: tuple) -> Obj:
 
 def delta_superstate(sr: Semiring, w: CWire, label) -> Superoperator:
     """The doubled deterministic state |x><x| on a classical wire."""
-    i = w.as_obj().index(label)
     col = [[sr.zero] for _ in range(w.size * w.size)]
-    col[i * w.size + i][0] = sr.one
+    col[_diagonal((w,))[w.as_obj().index(label)]][0] = sr.one
     return Superoperator((), (w,), tuple(map(tuple, col)), sr)
 
 
 def point_supereffect(sr: Semiring, w: CWire, label) -> Superoperator:
-    i = w.as_obj().index(label)
     row = [sr.zero] * (w.size * w.size)
-    row[i * w.size + i] = sr.one
+    row[_diagonal((w,))[w.as_obj().index(label)]] = sr.one
     return Superoperator((w,), (), (tuple(row),), sr)
 
 
@@ -428,35 +392,18 @@ def point_supereffect(sr: Semiring, w: CWire, label) -> Superoperator:
 # Choi matrix, purity, purification
 
 
-def flatten_quantum(phi: Superoperator):
-    """Re-linearise a quantum-only superoperator to single global (Y, Y') order.
-
-    Returns (matrix, d_out, d_in) with matrix[(Y * d_out + Y'), (X * d_in + X')].
-    """
-    if any(isinstance(w, CWire) for w in phi.dom + phi.cod):
-        raise ShapeError("flatten_quantum expects quantum-only wires")
-    din, dout = plain_dim(phi.dom), plain_dim(phi.cod)
-    out = _zeros(dout * dout, din * din, phi.sr.zero)
-    for rp in index_pairs(phi.cod):
-        y = plain_lin(phi.cod, [i for i, _ in rp])
-        yp = plain_lin(phi.cod, [j for _, j in rp])
-        for cp in index_pairs(phi.dom):
-            x = plain_lin(phi.dom, [i for i, _ in cp])
-            xp = plain_lin(phi.dom, [j for _, j in cp])
-            out[y * dout + yp][x * din + xp] = phi.entries[lin(phi.cod, rp)][lin(phi.dom, cp)]
-    return out, dout, din
-
-
 def choi_matrix(phi: Superoperator):
-    """Choi[(y,x),(y',x')] = Phi[(y,y'),(x,x')] (frozen reshuffle convention)."""
-    flat, dout, din = flatten_quantum(phi)
-    n = dout * din
+    """Choi[(y,x),(y',x')] = Phi[(y,y'),(x,x')] (frozen reshuffle convention),
+    on quantum-only wires."""
+    if any(isinstance(w, CWire) for w in phi.dom + phi.cod):
+        raise ShapeError("choi_matrix expects quantum-only wires")
+    din = plain_dim(phi.dom)
+    n = plain_dim(phi.cod) * din
     choi = _zeros(n, n, phi.sr.zero)
-    for y in range(dout):
-        for yp in range(dout):
-            for x in range(din):
-                for xp in range(din):
-                    choi[y * din + x][yp * din + xp] = flat[y * dout + yp][x * din + xp]
+    xs, xps = _plain_pairs(phi.dom)
+    for row, y, yp in zip(phi.entries, *_plain_pairs(phi.cod)):
+        for v, x, xp in zip(row, xs, xps):
+            choi[y * din + x][yp * din + xp] = v
     return choi
 
 

@@ -120,7 +120,7 @@ class _PartySpec:
 
 
 def parse_scenario_text(src: str) -> Scenario:
-    sr = None
+    srid = None
     backend_kind = "classical"
     state_kind = None
     state_blocks = None
@@ -163,10 +163,9 @@ def parse_scenario_text(src: str) -> Scenario:
         else:
             raise ScenarioError(f"unrecognised scenario line: {raw!r}")
 
-    try:
-        sr = get_semiring(srid, tolerance=tolerance)
-    except NameError:
+    if srid is None:
         raise ScenarioError("scenario file must declare a semiring")
+    sr = get_semiring(srid, tolerance=tolerance)
     if backend_kind == "quantum":
         return _build_quantum(QuantumBackend(sr), specs, state_kind, state_blocks)
     if backend_kind == "classical":
@@ -243,12 +242,8 @@ def density_to_state(sr, wires: tuple, rho) -> quantum.Superoperator:
     d = quantum.plain_dim(wires)
     if len(rho) != d or any(len(r) != d for r in rho):
         raise ScenarioError("density matrix shape does not match the wire dimensions")
-    col = [[sr.zero] for _ in range(quantum.doubled_dim(wires))]
-    for pairs in quantum.index_pairs(wires):
-        i = quantum.plain_lin(wires, [a for a, _ in pairs])
-        j = quantum.plain_lin(wires, [bq for _, bq in pairs])
-        col[quantum.lin(wires, pairs)][0] = rho[i][j]
-    return quantum.Superoperator((), tuple(wires), tuple(map(tuple, col)), sr)
+    col = tuple((rho[y][yp],) for y, yp in zip(*quantum._plain_pairs(tuple(wires))))
+    return quantum.Superoperator((), tuple(wires), col, sr)
 
 
 def _build_classical(b: ClassicalBackend, specs, state_kind, state_blocks) -> Scenario:

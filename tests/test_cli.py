@@ -201,6 +201,14 @@ def test_bad_scenario_numbers_are_usage_errors(tmp_path, line, token):
     assert "Traceback" not in proc.stderr and token in proc.stderr
 
 
+def test_scenario_without_semiring_is_a_usage_error(tmp_path):
+    f = tmp_path / "s.scn"
+    f.write_text("backend quantum\nparty A\ndim 2\n")
+    proc = _run_process("bell", str(f))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: scenario file must declare a semiring"]
+
+
 def test_bad_bool_literal_is_a_usage_error(tmp_path):
     f = tmp_path / "d.diag"
     f.write_text("sys x classical 1\n2 . id[x]\n")

@@ -164,6 +164,10 @@ def test_semiring_mismatch_names_both_semirings():
         qt.s_compose(rat, gr)
     with pytest.raises(mc.ShapeError, match="^semiring mismatch: gauss-rat vs rat$"):
         qt.s_tensor(gr, rat)
+    with pytest.raises(mc.ShapeError, match="^semiring mismatch: rat vs gauss-rat$"):
+        qt.s_add(rat, gr)
+    with pytest.raises(mc.ShapeError, match="^semiring mismatch: gauss-rat vs rat$"):
+        qt.s_add(gr, rat)
 
 
 def test_purity_verdicts_float():

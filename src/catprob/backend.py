@@ -197,7 +197,15 @@ class QuantumBackend:
         return quantum.classical_embed(f, self.pp, dom, cod)
 
     def distribution(self, state, outcome_obj) -> dict:
-        cls = quantum.classical_extract(state, self.pp)
+        """The outcome weights of a state; a weight outside R raises a
+        SemiringError that names its outcome."""
+        try:
+            cls = quantum.classical_extract(state, self.pp)
+        except SemiringError as exc:
+            weights = (state.entries[k][0] for k in quantum._diagonal(state.cod))
+            labels = quantum._wires_as_obj(state.cod).labels
+            bad = next(lab for lab, w in zip(labels, weights) if not self.pp.member(w))
+            raise SemiringError(f"outcome {'|'.join(map(str, bad))}: {exc}") from None
         return {lab: cls.entries[i][0] for i, lab in enumerate(cls.cod.labels)}
 
     def double(self, mat, dom, cod):

@@ -14,10 +14,15 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .matcat import ShapeError
+from .semirings import SemiringError
 
 
 class ScenarioError(ShapeError):
     pass
+
+
+class InvalidScenario(ScenarioError):
+    """A well-formed scenario whose evaluation fails a semantic check."""
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,10 @@ def evaluate(s: Scenario) -> EmpiricalModel:
             ch = _fix_choice(b, p, m)
             joint = ch if joint is None else b.tensor(joint, ch)
         out_state = b.compose(joint, s.shared_state)
-        dist = b.distribution(out_state, joint_outcomes)
+        try:
+            dist = b.distribution(out_state, joint_outcomes)
+        except SemiringError as exc:
+            raise InvalidScenario(f"context {'|'.join(map(_fmt_label, ctx))}, {exc}") from None
         table[ctx] = _split_joint_labels(dist, outcome_labels)
     return EmpiricalModel(
         party_names=tuple(p.name for p in s.parties),
@@ -121,15 +129,10 @@ def _split_joint_labels(dist: dict, outcome_labels: tuple) -> dict:
     out = {}
     for joint in itertools.product(*outcome_labels):
         flat = tuple(a for lab in joint for a in lab)
-        out[joint] = _lookup_flat(dist, flat)
+        if flat not in dist:
+            raise ScenarioError(f"joint outcome {flat!r} missing from the evaluated distribution")
+        out[joint] = dist[flat]
     return out
-
-
-def _lookup_flat(dist: dict, flat: tuple):
-    for k, v in dist.items():
-        if tuple(a for a in k) == flat:
-            return v
-    raise ScenarioError(f"joint outcome {flat!r} missing from the evaluated distribution")
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,11 @@ def cmd_bell(args) -> int:
     if problems:
         _emit(args, "invalid scenario:\n" + "\n".join(f"  {p}" for p in problems) + "\n")
         return 1
-    model = bell.evaluate(s)
+    try:
+        model = bell.evaluate(s)
+    except bell.InvalidScenario as exc:
+        _emit(args, f"invalid scenario:\n  {exc}\n")
+        return 1
     report = bell.no_signalling_check(model)
     out = [bell.export_empirical_model(model, args.format).rstrip("\n")]
     out.append("rows normalised: " + ("PASS" if report.rows_normalised else "FAIL"))

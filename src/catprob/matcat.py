@@ -122,11 +122,31 @@ def _same_semiring(a, b) -> Semiring:
 
 
 def _kron(sr: Semiring, f_rows, g_rows) -> tuple:
-    """The Kronecker product of two row-tuple matrices, first factor major."""
+    """The Kronecker product of two row-tuple matrices, first factor major.
+
+    Over an exact semiring a zero entry of f gives a block of `sr.zero` and a
+    zero row of g a zero segment, with no multiplication, since 0 b = a 0 = 0
+    holds there exactly. A float product keeps its computed value: `fmt`
+    prints its signed zeros, and `(-1+0j) * 0j` is `-0+0j`."""
     mul = sr.mul
-    return tuple(
-        tuple([mul(a, b) for a in rf for b in rg]) for rf in f_rows for rg in g_rows
-    )
+    if not sr.exact:
+        return tuple(tuple([mul(a, b) for a in rf for b in rg]) for rf in f_rows for rg in g_rows)
+    zero = sr.zero
+    zg = (zero,) * len(g_rows[0])
+    zrow = zg * len(f_rows[0])
+    g_live = [rg if rg != zg else None for rg in g_rows]
+    out = []
+    for rf in f_rows:
+        rf = [a if a != zero else None for a in rf]
+        for rg in g_live:
+            if rg is None:
+                out.append(zrow)
+                continue
+            row = []
+            for a in rf:
+                row += zg if a is None else [mul(a, b) for b in rg]
+            out.append(tuple(row))
+    return tuple(out)
 
 
 def _sum_rows(f, g) -> tuple:

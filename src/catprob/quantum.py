@@ -204,16 +204,13 @@ def s_equal(f: Superoperator, g: Superoperator) -> bool:
 
 def s_swap(sr: Semiring, a, b) -> Superoperator:
     """The symmetry swapping two adjacent wires."""
-    dom = (a, b)
-    cod = (b, a)
+    dom, cod = (a, b), (b, a)
     rows = _zeros(doubled_dim(cod), doubled_dim(dom), sr.zero)
-    for pa in itertools.product(range(a.size), repeat=2):
-        for pb in itertools.product(range(b.size), repeat=2):
-            if isinstance(a, CWire) and pa[0] != pa[1]:
-                continue
-            if isinstance(b, CWire) and pb[0] != pb[1]:
-                continue
-            rows[lin(cod, (pb, pa))][lin(dom, (pa, pb))] = sr.one
+    row_of = {yy: r for r, yy in enumerate(zip(*_plain_pairs(cod)))}
+    for c, (y, yp) in enumerate(zip(*_plain_pairs(dom))):
+        (i, j), (ip, jp) = divmod(y, b.size), divmod(yp, b.size)
+        if (i == ip or not isinstance(a, CWire)) and (j == jp or not isinstance(b, CWire)):
+            rows[row_of[j * a.size + i, jp * a.size + ip]][c] = sr.one
     return Superoperator(dom, cod, tuple(map(tuple, rows)), sr)
 
 

@@ -216,24 +216,19 @@ def _measurement_from_kraus(b: QuantumBackend, spec, m_wire, h_wire, o_wire):
     dom = (m_wire, h_wire)
     cod = (o_wire,)
     rows = [[sr.zero] * quantum.doubled_dim(dom) for _ in range(quantum.doubled_dim(cod))]
-    d = h_wire.dim
-    no = o_wire.size
-    for mi, choice in enumerate(spec.choices):
+    effects = []  # per choice, per outcome: the effect's Kraus rows, each of length d
+    for choice in spec.choices:
         blocks = spec.kraus[choice]
-        if len(blocks) != no:
+        if len(blocks) != o_wire.size:
             raise ScenarioError(
-                f"party {spec.name}, choice {choice}: expected {no} Kraus blocks"
+                f"party {spec.name}, choice {choice}: expected {o_wire.size} Kraus blocks"
             )
-        for oi, block in enumerate(blocks):
-            k = _parse_matrix(sr, block)  # rows x d, the effect's Kraus rows
-            r = (oi * no) + oi  # digits (oi, oi) on the outcome wire
-            for x in range(d):
-                for xp in range(d):
-                    c = ((mi * m_wire.size + mi) * d + x) * d + xp
-                    val = sr.sum(
-                        sr.mul(k[e][x], sr.star(k[e][xp])) for e in range(len(k))
-                    )
-                    rows[r][c] = sr.add(rows[r][c], val)
+        effects.append([_parse_matrix(sr, block) for block in blocks])
+    for c, (y, yp) in enumerate(zip(*quantum._plain_pairs(dom))):
+        (mi, x), (mip, xp) = divmod(y, h_wire.dim), divmod(yp, h_wire.dim)
+        if mi == mip:  # the choice wire is classical
+            for r, k in zip(quantum._diagonal(cod), effects[mi]):
+                rows[r][c] = sr.sum(sr.mul(ke[x], sr.star(ke[xp])) for ke in k)
     return quantum.Superoperator(dom, cod, tuple(map(tuple, rows)), sr)
 
 

@@ -215,3 +215,39 @@ def test_bad_bool_literal_is_a_usage_error(tmp_path):
     proc = _run_process("eval", "--semiring", "bool", str(f))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr and "'2'" in proc.stderr
+
+
+def test_non_positive_state_is_a_semantic_failure(tmp_path):
+    """A normalised state with eigenvalues 3/2 and -1/2 gives a negative
+    outcome weight: that is the scenario's fault, so exit 1, not 2."""
+    with open(os.path.join(SCEN, "chsh-345.scn")) as fh:
+        text = fh.read()
+    start = text.index("state density")
+    end = text.index("\n", start)
+    f = tmp_path / "s.scn"
+    f.write_text(text[:start] + "state density [[1/2,0,0,1],[0,0,0,0],[0,0,0,0],[1,0,0,1/2]]" + text[end:])
+    proc = _run_process("bell", str(f))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.splitlines() == [
+        "invalid scenario:",
+        "  context 1|1, outcome 0|1: -144/625 lies outside the positive sub-semiring of gauss-rat",
+    ]
+
+
+GOLDEN = os.path.join(ROOT, "perfbench", "golden")
+_GOLDEN_RUNS = [
+    ("scenarios", name[: -len(".scn")], ["bell", "--format", "machine", os.path.join(SCEN, name)])
+    for name in sorted(os.listdir(SCEN))
+] + [
+    ("eqcorpus", name, ["eq"] + [os.path.join(CORPUS, name, f) for f in ("lhs.diag", "rhs.diag", "bindings.txt")])
+    for name in sorted(os.listdir(CORPUS))
+]
+
+
+@pytest.mark.parametrize("kind,name,argv", _GOLDEN_RUNS, ids=[f"{k}/{n}" for k, n, _ in _GOLDEN_RUNS])
+def test_shipped_inputs_match_the_benchmark_golden_outputs(tmp_path, kind, name, argv):
+    out = tmp_path / "out"
+    assert main(["--out", str(out)] + argv) == 0
+    with open(os.path.join(GOLDEN, kind, f"{name}.out")) as fh:
+        assert out.read_text() == fh.read()

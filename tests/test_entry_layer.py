@@ -1,21 +1,22 @@
 """Differential tests of the shared Mat(S) entry layer and the doubled-index map.
 
-Each `reference_*` function is the index loop that `matcat` or `quantum` ran
-before the entry loops moved into `matcat`'s row-level helpers and every
-doubled index was read from `quantum._plain_pairs`; results must agree with
-the current code under `==`.
+Each `reference_*` function is the index loop that `matcat`, `quantum` or
+`scenarios` ran before the entry loops moved into `matcat`'s row-level helpers,
+`_kron` skipped structural zeros and every doubled index was read from
+`quantum._plain_pairs`; results must agree with the current code under `==`.
 """
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import catprob.matcat as mc
 import catprob.quantum as qt
-from catprob.scenarios import density_to_state
-from catprob.semirings import positive_part
+from catprob.scenarios import _measurement_from_kraus, _PartySpec, density_to_state
+from catprob.semirings import SemiringError, get_semiring, positive_part
 from test_double import _wires
 from test_matmul import ELEMENTS, SEMIRINGS, _BY_ID
 
@@ -27,6 +28,36 @@ def reference_kron(sr, f_rows, g_rows):
         for rf in range(fr)
         for rg in range(gr)
     )
+
+
+def reference_swap(sr, a, b):
+    dom, cod = (a, b), (b, a)
+    rows = [[sr.zero] * qt.doubled_dim(dom) for _ in range(qt.doubled_dim(cod))]
+    for pa in itertools.product(range(a.size), repeat=2):
+        for pb in itertools.product(range(b.size), repeat=2):
+            if isinstance(a, qt.CWire) and pa[0] != pa[1]:
+                continue
+            if isinstance(b, qt.CWire) and pb[0] != pb[1]:
+                continue
+            rows[qt.lin(cod, (pb, pa))][qt.lin(dom, (pa, pb))] = sr.one
+    return tuple(map(tuple, rows))
+
+
+def reference_kraus_measurement(sr, kraus, m_wire, h_wire, o_wire):
+    """`kraus[mi][oi]` is the parsed Kraus block of outcome oi under choice mi."""
+    dom, cod = (m_wire, h_wire), (o_wire,)
+    rows = [[sr.zero] * qt.doubled_dim(dom) for _ in range(qt.doubled_dim(cod))]
+    d = h_wire.dim
+    no = o_wire.size
+    for mi, blocks in enumerate(kraus):
+        for oi, k in enumerate(blocks):
+            r = (oi * no) + oi
+            for x in range(d):
+                for xp in range(d):
+                    c = ((mi * m_wire.size + mi) * d + x) * d + xp
+                    val = sr.sum(sr.mul(k[e][x], sr.star(k[e][xp])) for e in range(len(k)))
+                    rows[r][c] = sr.add(rows[r][c], val)
+    return tuple(map(tuple, rows))
 
 
 def reference_choi(phi):
@@ -126,6 +157,91 @@ def test_tensor_matches_the_reference_kronecker_loop(sr, data):
     got = mc.tensor(f, g)
     assert (got.dom, got.cod) == (mc.obj_tensor(f.dom, g.dom), mc.obj_tensor(f.cod, g.cod))
     assert got.entries == reference_kron(sr, f.entries, g.entries)
+
+
+_KRON_CASES = ("zero rows in g", "zero entries in f", "all-zero operands", "one row or column")
+
+
+@pytest.mark.parametrize("case", _KRON_CASES)
+@pytest.mark.parametrize("sr", SEMIRINGS, **_BY_ID)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_kron_matches_the_reference_loop_on_structural_zeros(sr, case, data):
+    zero = sr.zero
+    dims = [data.draw(st.integers(1, 4)) for _ in range(4)]
+    if case == "one row or column":
+        dims[data.draw(st.integers(0, 3))] = 1
+    fr, fc, gr, gc = dims
+    sparse = st.one_of(st.just(zero), ELEMENTS[sr.id])
+    f = [list(row) for row in _entries(data, sparse, fr, fc)]
+    g = [list(row) for row in _entries(data, sparse, gr, gc)]
+    if case == "zero rows in g":
+        for i in data.draw(st.sets(st.integers(0, gr - 1), min_size=1)):
+            g[i] = [zero] * gc
+    elif case == "zero entries in f":
+        for i, j in data.draw(st.sets(st.tuples(st.integers(0, fr - 1), st.integers(0, fc - 1)), min_size=1)):
+            f[i][j] = zero
+    elif case == "all-zero operands":
+        for m in data.draw(st.sampled_from([[f], [g], [f, g]])):
+            m[:] = [[zero] * len(m[0]) for _ in m]
+    f, g = tuple(map(tuple, f)), tuple(map(tuple, g))
+    assert mc._kron(sr, f, g) == reference_kron(sr, f, g)
+
+
+def test_float_tensor_keeps_the_signed_zero_of_each_product():
+    sr = get_semiring("complex-f64")
+    x = mc.obj_of_size(1)
+    got = mc.tensor(mc.Morphism(x, x, ((-1 + 0j,),), sr), mc.Morphism(x, x, ((0j,),), sr))
+    assert sr.fmt(got.entries[0][0]) == "-0+0i"
+
+
+_wire = st.one_of(
+    st.builds(qt.QWire, st.integers(1, 3)),
+    st.integers(1, 3).map(lambda n: qt.cwire(mc.obj_of_size(n))),
+)
+
+
+@pytest.mark.parametrize("sr", SEMIRINGS, **_BY_ID)
+@settings(max_examples=20, deadline=None)
+@given(a=_wire, b=_wire)
+def test_s_swap_matches_the_reference_index_loop(sr, a, b):
+    got = qt.s_swap(sr, a, b)
+    assert (got.dom, got.cod) == ((a, b), (b, a))
+    assert got.entries == reference_swap(sr, a, b)
+
+
+def _literals(sr, rng):
+    """Element literals that `sr.parse` reads, zero among them."""
+    out = []
+    for x in [sr.zero] + [sr.sample(rng) for _ in range(6)]:
+        try:
+            sr.parse(sr.fmt(x))
+        except SemiringError:
+            continue
+        out.append(sr.fmt(x))
+    return out
+
+
+@pytest.mark.parametrize("sr", SEMIRINGS, **_BY_ID)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_kraus_measurement_matches_the_reference_index_loop(sr, data):
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    lits = _literals(sr, rng)
+    nm, no, d = (data.draw(st.integers(1, 3)) for _ in range(3))
+    spec = _PartySpec("A", tuple(map(str, range(nm))), tuple(map(str, range(no))), dim=d, kraus={})
+    for choice in spec.choices:
+        spec.kraus[choice] = [
+            [[rng.choice(lits) for _ in range(d)] for _ in range(data.draw(st.integers(1, 2)))]
+            for _ in range(no)
+        ]
+    m_wire, h_wire, o_wire = qt.cwire(mc.obj(*spec.choices)), qt.QWire(d), qt.cwire(mc.obj(*spec.outcomes))
+    got = _measurement_from_kraus(SimpleNamespace(sr=sr), spec, m_wire, h_wire, o_wire)
+    parsed = [[[[sr.parse(x) for x in row] for row in k] for k in spec.kraus[c]] for c in spec.choices]
+    assert (got.dom, got.cod) == ((m_wire, h_wire), (o_wire,))
+    want = reference_kraus_measurement(sr, parsed, m_wire, h_wire, o_wire)
+    assert got.entries == want
+    assert repr(got.entries) == repr(want)  # also tells a float -0.0 from 0.0
 
 
 @pytest.mark.parametrize("sr", SEMIRINGS, **_BY_ID)

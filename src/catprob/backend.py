@@ -179,12 +179,14 @@ class QuantumBackend:
     def delta_state(self, x: tuple, label):
         if len(x) != 1 or not isinstance(x[0], quantum.CWire):
             raise ShapeError("delta states live on single classical wires")
-        return quantum.delta_superstate(self.sr, x[0], label)
+        f = matcat.delta_state(self.pp.ring, x[0].as_obj(), label)
+        return quantum.classical_embed(f, self.pp, dom=(), cod=x)
 
     def point_effect(self, x: tuple, label):
         if len(x) != 1 or not isinstance(x[0], quantum.CWire):
             raise ShapeError("point effects live on single classical wires")
-        return quantum.point_supereffect(self.sr, x[0], label)
+        f = matcat.point_effect(self.pp.ring, x[0].as_obj(), label)
+        return quantum.classical_embed(f, self.pp, dom=x, cod=())
 
     def to_classical(self, f) -> Morphism:
         return quantum.classical_extract(f, self.pp)
@@ -213,21 +215,14 @@ class QuantumBackend:
 
     def random_normalised(self, dom, cod, rng):
         """A random channel: basis measurement, stochastic map, preparation."""
-        nd, nc = quantum.plain_dim(dom), quantum.plain_dim(cod)
-        xd = matcat.obj_of_size(nd)
-        xc = matcat.obj_of_size(nc)
-        meas = quantum.classical_embed(
-            matcat.identity(self.pp.ring, xd), self.pp, dom=dom, cod=(quantum.cwire(xd),)
-        )
+        xd, xc = (matcat.obj_of_size(quantum.plain_dim(w)) for w in (dom, cod))
         stoch = matcat.random_normalised(self.pp.ring, xd, xc, rng)
-        prep = quantum.classical_embed(
-            matcat.identity(self.pp.ring, xc), self.pp, dom=(quantum.cwire(xc),), cod=cod
-        )
-        mid = quantum.classical_embed(stoch, self.pp)
-        return quantum.s_compose(prep, quantum.s_compose(mid, meas))
+        return quantum.classical_embed(stoch, self.pp, dom, cod)
 
     def random_morphism(self, dom, cod, rng):
-        """A random CP map built from Kraus data, decohered on classical wires."""
+        """A random CP map built from Kraus data. If any wire is classical,
+        every wire is decohered, so the sample is a classical process between
+        the standard bases (on Q -> C, a basis measurement)."""
         k = rng.randrange(1, 3)
         mats = [
             [[self.sr.sample(rng) for _ in range(quantum.plain_dim(dom))]
@@ -235,10 +230,8 @@ class QuantumBackend:
             for _ in range(k)
         ]
         phi = quantum.cpm_from_kraus(quantum.kraus_family(self.sr, dom, cod, mats))
-        dec_d = quantum.decoherence_all(self.sr, dom)
-        dec_c = quantum.decoherence_all(self.sr, cod)
         if any(isinstance(w, quantum.CWire) for w in tuple(dom) + tuple(cod)):
-            phi = quantum.s_compose(dec_c, quantum.s_compose(phi, dec_d))
+            phi = quantum.decohere(phi)
         return phi
 
 
@@ -312,7 +305,9 @@ def backend_self_test(backend, seed: int = 0, rounds: int = 25) -> list:
         h = backend.random_morphism(a, b, rng)
         k = backend.random_morphism(b, c, rng)
 
-        # enrichment: bilinearity of composition and tensor
+        # enrichment: commutative monoids, with composition and tensor bilinear
+        chk(backend.equal(backend.add(f, h), backend.add(h, f)), "addition is not commutative")
+        chk(backend.equal(backend.add(f, backend.zero(a, b)), f), "zero is not a unit for addition")
         chk(
             backend.equal(
                 backend.compose(g, backend.add(f, h)),

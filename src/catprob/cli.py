@@ -25,19 +25,31 @@ from .semirings import SemiringError, get_semiring
 DEFAULT_SEED = 20170901
 
 
+class UsageError(ValueError):
+    """A bad environment variable or output path."""
+
+
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("CATPROB_SEED")
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"CATPROB_SEED must be an integer, got {env!r}") from None
 
 
 def _emit(args, text: str):
-    if getattr(args, "out", None):
+    if not getattr(args, "out", None):
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_theory_check(args) -> int:
@@ -175,7 +187,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (SemiringError, matcat.ShapeError, diagram.DiagramSyntaxError,
-            diagram.DiagramTypeError, FileNotFoundError) as exc:
+            diagram.DiagramTypeError, FileNotFoundError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -154,20 +154,18 @@ class Tok:
     col: int
 
 
-def _lex(src: str, line_offset: int = 0):
+def _lex(src: str):
     toks = []
     for ln, line in enumerate(src.splitlines()):
         pos = 0
         while pos < len(line):
             m = _TOKEN_RE.match(line, pos)
             if not m:
-                raise DiagramSyntaxError(
-                    f"line {ln + 1 + line_offset}, col {pos + 1}: bad character {line[pos]!r}"
-                )
+                raise DiagramSyntaxError(f"line {ln + 1}, col {pos + 1}: bad character {line[pos]!r}")
             pos = m.end()
             if m.lastgroup == "ws":
                 continue
-            toks.append(Tok(m.lastgroup, m.group(), ln + 1 + line_offset, m.start() + 1))
+            toks.append(Tok(m.lastgroup, m.group(), ln + 1, m.start() + 1))
     return toks
 
 
@@ -198,14 +196,9 @@ def parse(src: str) -> Document:
         else:
             expr_lines.append(bare)
     expr_src = "\n".join(expr_lines)
-    toks = _lex(expr_src)
-    if not toks:
+    if not expr_src.strip():
         raise DiagramSyntaxError("document has no expression")
-    node, rest = _parse_sum(toks)
-    if rest:
-        t = rest[0]
-        raise DiagramSyntaxError(f"line {t.line}, col {t.col}: unexpected {t.text!r}")
-    return Document(Declarations(systems, generators), node, src)
+    return Document(Declarations(systems, generators), parse_expr(expr_src), src)
 
 
 def parse_expr(src: str) -> Node:
@@ -246,26 +239,29 @@ def _freeze(x):
     return x
 
 
-def _parse_sum(toks):
-    node, toks = _parse_seq(toks)
+_MAX_NESTING = 100  # parentheses and scalar prefixes: well inside the recursion limit
+
+
+def _parse_sum(toks, depth=0):
+    node, toks = _parse_seq(toks, depth)
     while toks and toks[0].text == "+":
-        right, toks = _parse_seq(toks[1:])
+        right, toks = _parse_seq(toks[1:], depth)
         node = Sum(node, right, span=(node.span[0], right.span[1]))
     return node, toks
 
 
-def _parse_seq(toks):
-    node, toks = _parse_par(toks)
+def _parse_seq(toks, depth):
+    node, toks = _parse_par(toks, depth)
     while toks and toks[0].text == ";":
-        right, toks = _parse_par(toks[1:])
+        right, toks = _parse_par(toks[1:], depth)
         node = Seq(node, right, span=(node.span[0], right.span[1]))
     return node, toks
 
 
-def _parse_par(toks):
-    node, toks = _parse_atom(toks)
+def _parse_par(toks, depth):
+    node, toks = _parse_atom(toks, depth)
     while toks and toks[0].text == "*":
-        right, toks = _parse_atom(toks[1:])
+        right, toks = _parse_atom(toks[1:], depth)
         node = Par(node, right, span=(node.span[0], right.span[1]))
     return node, toks
 
@@ -278,17 +274,19 @@ def _expect(toks, text):
     return toks[1:]
 
 
-def _parse_atom(toks):
+def _parse_atom(toks, depth):
     if not toks:
         raise DiagramSyntaxError("unexpected end of input")
     t = toks[0]
     sp = (t.line, t.col)
+    if depth == _MAX_NESTING and (t.kind == "num" or t.text == "("):
+        raise DiagramSyntaxError(f"line {t.line}, col {t.col}: nested more than {_MAX_NESTING} deep")
     if t.kind == "num":  # scalar "." atom
         rest = _expect(toks[1:], ".")
-        inner, rest = _parse_atom(rest)
+        inner, rest = _parse_atom(rest, depth + 1)
         return Scale(t.text, inner, span=sp), rest
     if t.text == "(":
-        inner, rest = _parse_sum(toks[1:])
+        inner, rest = _parse_sum(toks[1:], depth + 1)
         rest = _expect(rest, ")")
         return inner, rest
     if t.kind == "name" and t.text in ("id", "sw", "disc", "state", "effect"):

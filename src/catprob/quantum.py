@@ -11,7 +11,9 @@ The global index of a wire list is the mixed-radix number with digits
 fixed linearisation doubling is functorial: double(f (x) g) equals
 double(f) (x) double(g) entry for entry. `_plain_pairs` is the one place
 that maps a doubled index to its plain indices (y, y'); every construction
-that needs the layout reads it from there.
+that needs the layout reads it from there. Likewise `_live` (the doubled
+indices diagonal on every classical wire) is the one statement of the
+classical-wire rule, and decoherence is an index mask, not a matrix product.
 
 A superoperator is a Mat(S) matrix on doubled indices, so its tensor, sum,
 scaling and equality run `matcat`'s entry loops, and its product runs
@@ -102,12 +104,6 @@ def plain_lin(wires: tuple, digits) -> int:
     return idx
 
 
-def _classical_diagonal(wires: tuple, pairs) -> bool:
-    return all(
-        i == j for w, (i, j) in zip(wires, pairs) if isinstance(w, CWire)
-    )
-
-
 @dataclass(frozen=True)
 class Superoperator:
     """A matrix between doubled wire lists; classical wires are constrained."""
@@ -135,23 +131,28 @@ class NotDecoheredError(ShapeError):
 
 def check_classical_invariance(phi: Superoperator) -> None:
     """Entries touching an off-diagonal classical digit pair must vanish."""
-    sr = phi.sr
-    for r, rp in enumerate(index_pairs(phi.cod)):
-        row_ok = _classical_diagonal(phi.cod, rp)
-        for c, cp in enumerate(index_pairs(phi.dom)):
-            if row_ok and _classical_diagonal(phi.dom, cp):
-                continue
-            if not sr.eq(phi.entries[r][c], sr.zero):
-                raise NotDecoheredError(
-                    f"entry at row {r}, col {c} breaks decoherence invariance on a classical wire"
-                )
+    diff = _first_difference(phi, _masked(phi, _live(phi.cod), _live(phi.dom)))
+    if diff is not None:
+        raise NotDecoheredError(
+            f"entry at row {diff[0]}, col {diff[1]} breaks decoherence invariance on a classical wire"
+        )
 
 
-def superoperator(sr: Semiring, dom: tuple, cod: tuple, entries, check: bool = True) -> Superoperator:
+def superoperator(sr: Semiring, dom: tuple, cod: tuple, entries) -> Superoperator:
     phi = Superoperator(tuple(dom), tuple(cod), tuple(tuple(r) for r in entries), sr)
-    if check and any(isinstance(w, CWire) for w in phi.dom + phi.cod):
-        check_classical_invariance(phi)
+    check_classical_invariance(phi)
     return phi
+
+
+def _masked(phi: Superoperator, rows: tuple, cols: tuple) -> Superoperator:
+    """phi with every entry outside the block rows x cols set to zero."""
+    blank = (phi.sr.zero,) * doubled_dim(phi.dom)
+    out = [blank] * doubled_dim(phi.cod)
+    for r in rows:
+        out[r] = kept = list(blank)
+        for c in cols:
+            kept[c] = phi.entries[r][c]
+    return Superoperator(phi.dom, phi.cod, tuple(map(tuple, out)), phi.sr)
 
 
 def _zeros(rows: int, cols: int, z):
@@ -165,9 +166,8 @@ def _zeros(rows: int, cols: int, z):
 def s_identity(sr: Semiring, wires: tuple) -> Superoperator:
     n = doubled_dim(wires)
     rows = _zeros(n, n, sr.zero)
-    for i, pairs in enumerate(index_pairs(wires)):
-        if _classical_diagonal(wires, pairs):
-            rows[i][i] = sr.one
+    for i in _live(wires):
+        rows[i][i] = sr.one
     return Superoperator(tuple(wires), tuple(wires), tuple(map(tuple, rows)), sr)
 
 
@@ -207,10 +207,10 @@ def s_swap(sr: Semiring, a, b) -> Superoperator:
     dom, cod = (a, b), (b, a)
     rows = _zeros(doubled_dim(cod), doubled_dim(dom), sr.zero)
     row_of = {yy: r for r, yy in enumerate(zip(*_plain_pairs(cod)))}
-    for c, (y, yp) in enumerate(zip(*_plain_pairs(dom))):
-        (i, j), (ip, jp) = divmod(y, b.size), divmod(yp, b.size)
-        if (i == ip or not isinstance(a, CWire)) and (j == jp or not isinstance(b, CWire)):
-            rows[row_of[j * a.size + i, jp * a.size + ip]][c] = sr.one
+    ys, yps = _plain_pairs(dom)
+    for c in _live(dom):
+        (i, j), (ip, jp) = divmod(ys[c], b.size), divmod(yps[c], b.size)
+        rows[row_of[j * a.size + i, jp * a.size + ip]][c] = sr.one
     return Superoperator(dom, cod, tuple(map(tuple, rows)), sr)
 
 
@@ -267,6 +267,15 @@ def _diagonal(wires: tuple) -> tuple:
     return tuple(k for k, (y, yp) in enumerate(zip(*_plain_pairs(wires))) if y == yp)
 
 
+@functools.lru_cache(maxsize=64)
+def _live(wires: tuple) -> tuple:
+    """The doubled indices diagonal on every classical wire, in order."""
+    return tuple(
+        k for k, pairs in enumerate(index_pairs(wires))
+        if all(i == j for w, (i, j) in zip(wires, pairs) if isinstance(w, CWire))
+    )
+
+
 @dataclass(frozen=True)
 class KrausFamily:
     """A nonempty list of pure cod-by-dom matrices sharing one shape."""
@@ -317,17 +326,17 @@ def decoherence_superop(sr: Semiring, a: QWire) -> Superoperator:
 def decoherence_all(sr: Semiring, wires: tuple) -> Superoperator:
     """Decoherence projector on every wire (identity has the same effect on
     classical wires, which are diagonal already)."""
-    n = doubled_dim(wires)
-    rows = _zeros(n, n, sr.zero)
-    for k in _diagonal(wires):
-        rows[k][k] = sr.one
-    return Superoperator(tuple(wires), tuple(wires), tuple(map(tuple, rows)), sr)
+    return decohere(s_identity(sr, tuple(wires)))
+
+
+def decohere(phi: Superoperator) -> Superoperator:
+    """dec o phi o dec, every wire decohered: phi on the diagonal of both
+    wire lists, zero elsewhere."""
+    return _masked(phi, _diagonal(phi.cod), _diagonal(phi.dom))
 
 
 def is_decoherence_invariant(phi: Superoperator) -> bool:
-    dec_d = decoherence_all(phi.sr, phi.dom)
-    dec_c = decoherence_all(phi.sr, phi.cod)
-    return s_equal(phi, s_compose(dec_c, s_compose(phi, dec_d)))
+    return s_equal(phi, decohere(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -370,19 +379,6 @@ def _wires_as_obj(wires: tuple) -> Obj:
         cur = Obj(w.labels) if isinstance(w, CWire) else matcat.obj_of_size(w.dim)
         o = cur if o is None else matcat.obj_tensor(o, cur)
     return o
-
-
-def delta_superstate(sr: Semiring, w: CWire, label) -> Superoperator:
-    """The doubled deterministic state |x><x| on a classical wire."""
-    col = [[sr.zero] for _ in range(w.size * w.size)]
-    col[_diagonal((w,))[w.as_obj().index(label)]][0] = sr.one
-    return Superoperator((), (w,), tuple(map(tuple, col)), sr)
-
-
-def point_supereffect(sr: Semiring, w: CWire, label) -> Superoperator:
-    row = [sr.zero] * (w.size * w.size)
-    row[_diagonal((w,))[w.as_obj().index(label)]] = sr.one
-    return Superoperator((w,), (), (tuple(row),), sr)
 
 
 # ---------------------------------------------------------------------------

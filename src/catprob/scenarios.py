@@ -29,17 +29,19 @@ from .matcat import Morphism
 from .semirings import SemiringError, get_semiring
 
 
-def parse_nested(src: str):
-    """Parse a bracketed literal into nested lists of element strings."""
+def parse_nested(src: str, depth: int = 2):
+    """Parse a bracketed literal, at most `depth` lists deep, into nested lists of strings."""
     src = src.strip()
     pos = 0
 
-    def parse(i):
+    def parse(i, level):
         while i < len(src) and src[i].isspace():
             i += 1
         if i >= len(src):
             raise ScenarioError("unexpected end of matrix literal")
         if src[i] == "[":
+            if level == depth:
+                raise ScenarioError(f"matrix literal nested more than {depth} deep at offset {i}")
             items = []
             i += 1
             while True:
@@ -47,7 +49,7 @@ def parse_nested(src: str):
                     i += 1
                 if i < len(src) and src[i] == "]":
                     return items, i + 1
-                item, i = parse(i)
+                item, i = parse(i, level + 1)
                 items.append(item)
                 while i < len(src) and src[i].isspace():
                     i += 1
@@ -62,7 +64,7 @@ def parse_nested(src: str):
             j += 1
         return src[i:j].strip(), j
 
-    out, pos = parse(pos)
+    out, pos = parse(pos, 0)
     if src[pos:].strip():
         raise ScenarioError("trailing junk after matrix literal")
     return out
@@ -224,11 +226,11 @@ def _measurement_from_kraus(b: QuantumBackend, spec, m_wire, h_wire, o_wire):
                 f"party {spec.name}, choice {choice}: expected {o_wire.size} Kraus blocks"
             )
         effects.append([_parse_matrix(sr, block) for block in blocks])
-    for c, (y, yp) in enumerate(zip(*quantum._plain_pairs(dom))):
-        (mi, x), (mip, xp) = divmod(y, h_wire.dim), divmod(yp, h_wire.dim)
-        if mi == mip:  # the choice wire is classical
-            for r, k in zip(quantum._diagonal(cod), effects[mi]):
-                rows[r][c] = sr.sum(sr.mul(ke[x], sr.star(ke[xp])) for ke in k)
+    ys, yps = quantum._plain_pairs(dom)
+    for c in quantum._live(dom):  # diagonal on the classical choice wire
+        (mi, x), xp = divmod(ys[c], h_wire.dim), yps[c] % h_wire.dim
+        for r, k in zip(quantum._diagonal(cod), effects[mi]):
+            rows[r][c] = sr.sum(sr.mul(ke[x], sr.star(ke[xp])) for ke in k)
     return quantum.Superoperator(dom, cod, tuple(map(tuple, rows)), sr)
 
 
@@ -260,6 +262,6 @@ def _build_classical(b: ClassicalBackend, specs, state_kind, state_blocks) -> Sc
 
     if state_kind != "vector":
         raise ScenarioError("classical scenarios need `state vector [...]`")
-    weights = [sr.parse(x) for x in parse_nested(state_blocks[0])]
+    weights = [sr.parse(x) for x in parse_nested(state_blocks[0], depth=1)]
     state = matcat.state(sr, total, weights)
     return Scenario(b, tuple(parties), state)

@@ -153,12 +153,6 @@ def _parse_frac(tok: str) -> Fraction:
     return Fraction(tok)
 
 
-_PAIR_RE = re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:/\d+)?)?\s*"
-    r"(?P<im>[+-]\s*\d*(?:/\d+)?|[+-]?\d*(?:/\d+)?)?\s*(?P<unit>[ij])?\s*$"
-)
-
-
 def _parse_pair(tok: str, unit: str) -> tuple:
     """Parse `a`, `bi`, `a+bi`, `a-bi` style literals (unit 'i' or 'j')."""
     tok = tok.strip().replace(" ", "")

@@ -70,3 +70,36 @@ def test_classical_backend_has_no_quantum_objects():
     b = ClassicalBackend(get_semiring("ratnn"))
     with pytest.raises(mc.ShapeError):
         b.quantum_obj(2)
+
+
+class _AddDropsSecondOperand(ClassicalBackend):
+    def add(self, f, g):
+        return f
+
+
+class _DoubledDiscard(QuantumBackend):
+    def discard(self, wires):
+        d = super().discard(wires)
+        return self.add(d, d)
+
+
+class _UnnormalisedChannels(QuantumBackend):
+    def random_normalised(self, dom, cod, rng):
+        n = super().random_normalised(dom, cod, rng)
+        return self.add(n, n)
+
+
+@pytest.mark.parametrize(
+    "broken,law",
+    [
+        (_AddDropsSecondOperand(get_semiring("ratnn")), "addition is not commutative"),
+        (_DoubledDiscard(get_semiring("gauss-rat")), "discard does not respect tensor"),
+        (_UnnormalisedChannels(get_semiring("gauss-rat")), "random normalised morphism fails normalisation"),
+    ],
+    ids=["add-drops-second-operand", "doubled-discard", "unnormalised-channels"],
+)
+def test_self_test_names_the_law_a_broken_backend_breaks(broken, law):
+    report = backend_self_test(broken, seed=2, rounds=8)
+    assert law in report
+    healthy = backend_self_test(type(broken).__mro__[1](broken.sr), seed=2, rounds=8)
+    assert healthy == []

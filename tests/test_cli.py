@@ -184,9 +184,10 @@ def test_bell_and_theory_check_do_not_import_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def _run_process(*argv):
+def _run_process(*argv, **env_vars):
     src = os.path.join(ROOT, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "catprob.cli", *argv], env=env, capture_output=True, text=True, timeout=120
     )
@@ -233,6 +234,69 @@ def test_non_positive_state_is_a_semantic_failure(tmp_path):
         "invalid scenario:",
         "  context 1|1, outcome 0|1: -144/625 lies outside the positive sub-semiring of gauss-rat",
     ]
+
+
+def test_non_integer_env_seed_is_a_usage_error():
+    proc = _run_process("theory-check", "ratnn", CATPROB_SEED="abc")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: CATPROB_SEED must be an integer, got 'abc'"]
+
+
+def test_out_path_that_is_a_directory_is_a_usage_error(tmp_path):
+    proc = _run_process("--out", str(tmp_path), "toyzoo")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "Is a directory" in proc.stderr
+
+
+def _nested(depth):
+    return "[" * depth + "1" + "]" * depth
+
+
+def _with_state(scenario, line):
+    """A shipped scenario with its `state` line replaced."""
+    with open(os.path.join(SCEN, scenario)) as fh:
+        text = fh.read()
+    start = text.index("\nstate ") + 1
+    return text[:start] + line + text[text.index("\n", start):]
+
+
+@pytest.mark.parametrize("depth", [3, 3000])
+def test_deeply_nested_state_literal_is_a_usage_error(tmp_path, depth):
+    f = tmp_path / "s.scn"
+    f.write_text(_with_state("chsh-345.scn", f"state density {_nested(depth)}"))
+    proc = _run_process("bell", str(f))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: matrix literal nested more than 2 deep at offset 2"]
+
+
+def test_nested_classical_state_vector_is_a_usage_error(tmp_path):
+    f = tmp_path / "s.scn"
+    f.write_text(_with_state("correlated-coin.scn", "state vector [[1], [0]]"))
+    proc = _run_process("bell", str(f))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: matrix literal nested more than 1 deep at offset 1"]
+
+
+def test_deeply_nested_binding_is_a_usage_error(tmp_path):
+    entry = os.path.join(CORPUS, "coarse-graining")
+    f = tmp_path / "bindings.txt"
+    f.write_text(f"semiring ratnn\ngen f = {_nested(3000)}\n")
+    proc = _run_process("eq", os.path.join(entry, "lhs.diag"), os.path.join(entry, "rhs.diag"), str(f))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and "nested more than 2 deep" in proc.stderr
+
+
+@pytest.mark.parametrize("prefix,suffix", [("(" * 2000, ")" * 2000), ("1 . " * 2000, "")])
+def test_deeply_nested_diagram_is_a_usage_error(tmp_path, prefix, suffix):
+    f = tmp_path / "d.diag"
+    f.write_text(f"sys x classical 2\n{prefix}id[x]{suffix}\n")
+    proc = _run_process("eval", str(f))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[0].endswith("nested more than 100 deep")
 
 
 GOLDEN = os.path.join(ROOT, "perfbench", "golden")

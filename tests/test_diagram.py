@@ -176,3 +176,23 @@ def test_roundtrip_preserves_semantics():
     reparsed = dg.parse_expr(dg.pretty(doc.expr))
     v2 = dg.evaluate(dg.typecheck(reparsed, doc.decls), B, doc.decls, {"f": f})
     assert mc.equal(v1, v2)
+
+
+def test_nesting_is_bounded_without_recursion_errors():
+    deepest = "(" * dg._MAX_NESTING + "f" + ")" * dg._MAX_NESTING
+    assert dg.parse_expr(deepest) == dg.Gen("f")
+    assert dg.parse_expr("1 . " * dg._MAX_NESTING + "f").scalar == "1"
+    for src in ["(" + deepest + ")", "1 . " * (dg._MAX_NESTING + 1) + "f", "(" * 5000 + "f" + ")" * 5000]:
+        with pytest.raises(dg.DiagramSyntaxError, match=f"nested more than {dg._MAX_NESTING} deep"):
+            dg.parse_expr(src)
+
+
+def test_matrix_literals_nest_at_most_their_depth():
+    from catprob.bell import ScenarioError
+    from catprob.scenarios import parse_nested
+
+    assert parse_nested("[[1, 2], [3]]") == [["1", "2"], ["3"]]
+    assert parse_nested("[1, 2]", depth=1) == ["1", "2"]
+    for src, depth, offset in [("[[[1]]]", 2, 2), ("[" * 5000 + "]" * 5000, 2, 2), ("[[1]]", 1, 1)]:
+        with pytest.raises(ScenarioError, match=f"nested more than {depth} deep at offset {offset}$"):
+            parse_nested(src, depth)

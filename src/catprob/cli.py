@@ -26,7 +26,7 @@ DEFAULT_SEED = 20170901
 
 
 class UsageError(ValueError):
-    """A bad environment variable or output path."""
+    """A bad environment variable, or an unreadable input or output path."""
 
 
 def _seed(args) -> int:
@@ -39,6 +39,14 @@ def _seed(args) -> int:
         return int(env)
     except ValueError:
         raise UsageError(f"CATPROB_SEED must be an integer, got {env!r}") from None
+
+
+def _read(path) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _emit(args, text: str):
@@ -74,8 +82,7 @@ def cmd_theory_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with open(args.file) as fh:
-        doc = diagram.parse(fh.read())
+    doc = diagram.parse(_read(args.file))
     b = bk.ClassicalBackend(get_semiring(args.semiring, tolerance=args.tolerance))
     value = diagram.run_document(doc, b)
     lines = [
@@ -89,12 +96,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_eq(args) -> int:
-    with open(args.lhs) as fh:
-        lhs = diagram.parse(fh.read())
-    with open(args.rhs) as fh:
-        rhs = diagram.parse(fh.read())
-    with open(args.bindings) as fh:
-        sr, raw = diagram.parse_bindings(fh.read(), args.tolerance)
+    lhs = diagram.parse(_read(args.lhs))
+    rhs = diagram.parse(_read(args.rhs))
+    sr, raw = diagram.parse_bindings(_read(args.bindings), args.tolerance)
     b = bk.ClassicalBackend(sr or get_semiring(args.semiring, tolerance=args.tolerance))
     lv = diagram.run_document(lhs, b, diagram.bind_generators(lhs, b, raw))
     rv = diagram.run_document(rhs, b, diagram.bind_generators(rhs, b, raw))
@@ -111,7 +115,7 @@ def cmd_eq(args) -> int:
 
 
 def cmd_bell(args) -> int:
-    s = scenarios.load_scenario(args.scenario)
+    s = scenarios.parse_scenario_text(_read(args.scenario))
     problems = bell.validate_scenario(s)
     if problems:
         _emit(args, "invalid scenario:\n" + "\n".join(f"  {p}" for p in problems) + "\n")
@@ -187,7 +191,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (SemiringError, matcat.ShapeError, diagram.DiagramSyntaxError,
-            diagram.DiagramTypeError, FileNotFoundError, UsageError) as exc:
+            diagram.DiagramTypeError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

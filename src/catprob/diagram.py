@@ -16,6 +16,12 @@ Grammar (EBNF):
 `;` composes left to right (diagram order), `*` is parallel composition and
 binds tighter than `;`, `+` binds loosest. Scalars are rational literals.
 Declarations each live on one line; the expression is everything after them.
+
+All three operators are associative, so a run of one operator is a single
+n-ary `Chain` node, `f1 ; ... ; fn` included, not a nested tree; a chain is
+nested in another only through brackets. Recursion over the tree therefore
+follows bracket and scalar nesting, which the parser caps at `_MAX_NESTING`,
+never chain length.
 """
 
 from __future__ import annotations
@@ -76,21 +82,9 @@ class Node:
 
 
 @dataclass(frozen=True)
-class Seq(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Par(Node):
-    left: Node
-    right: Node
-
-
-@dataclass(frozen=True)
-class Sum(Node):
-    left: Node
-    right: Node
+class Chain(Node):
+    op: str  # one of _OPS
+    items: tuple  # at least two operands
 
 
 @dataclass(frozen=True)
@@ -203,7 +197,7 @@ def parse(src: str) -> Document:
 
 def parse_expr(src: str) -> Node:
     toks = _lex(src)
-    node, rest = _parse_sum(toks)
+    node, rest = _parse_chain(toks, 0)
     if rest:
         t = rest[0]
         raise DiagramSyntaxError(f"line {t.line}, col {t.col}: unexpected {t.text!r}")
@@ -240,30 +234,25 @@ def _freeze(x):
 
 
 _MAX_NESTING = 100  # parentheses and scalar prefixes: well inside the recursion limit
+_OPS = ("+", ";", "*")  # chain operators, loosest first
 
 
-def _parse_sum(toks, depth=0):
-    node, toks = _parse_seq(toks, depth)
-    while toks and toks[0].text == "+":
-        right, toks = _parse_seq(toks[1:], depth)
-        node = Sum(node, right, span=(node.span[0], right.span[1]))
-    return node, toks
-
-
-def _parse_seq(toks, depth):
-    node, toks = _parse_par(toks, depth)
-    while toks and toks[0].text == ";":
-        right, toks = _parse_par(toks[1:], depth)
-        node = Seq(node, right, span=(node.span[0], right.span[1]))
-    return node, toks
-
-
-def _parse_par(toks, depth):
-    node, toks = _parse_atom(toks, depth)
-    while toks and toks[0].text == "*":
-        right, toks = _parse_atom(toks[1:], depth)
-        node = Par(node, right, span=(node.span[0], right.span[1]))
-    return node, toks
+def _parse_chain(toks, depth, level=0):
+    """A chain of `_OPS[level]` whose operands bind tighter; one operand
+    alone is returned as it is."""
+    items = []
+    while True:
+        if level + 1 < len(_OPS):
+            node, toks = _parse_chain(toks, depth, level + 1)
+        else:
+            node, toks = _parse_atom(toks, depth)
+        items.append(node)
+        if not toks or toks[0].text != _OPS[level]:
+            break
+        toks = toks[1:]
+    if len(items) == 1:
+        return node, toks
+    return Chain(_OPS[level], tuple(items), span=items[0].span), toks
 
 
 def _expect(toks, text):
@@ -286,7 +275,7 @@ def _parse_atom(toks, depth):
         inner, rest = _parse_atom(rest, depth + 1)
         return Scale(t.text, inner, span=sp), rest
     if t.text == "(":
-        inner, rest = _parse_sum(toks[1:], depth + 1)
+        inner, rest = _parse_chain(toks[1:], depth + 1)
         rest = _expect(rest, ")")
         return inner, rest
     if t.kind == "name" and t.text in ("id", "sw", "disc", "state", "effect"):
@@ -330,18 +319,15 @@ def pretty(node: Node) -> str:
 
 
 def _pp(node: Node, level: int) -> str:
-    # level: 0 sum context, 1 seq context, 2 par/atom context
-    if isinstance(node, Sum):
-        s = f"{_pp(node.left, 0)} + {_pp(node.right, 1)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(node, Seq):
-        s = f"{_pp(node.left, 1)} ; {_pp(node.right, 2)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(node, Par):
-        s = f"{_pp(node.left, 2)} * {_pp(node.right, 3)}"
-        return f"({s})" if level > 2 else s
+    # level: the index in _OPS of the enclosing chain's operator plus one
+    # (0 at top level, len(_OPS) under a scalar); a chain whose operator
+    # binds no tighter than its parent's is bracketed
+    if isinstance(node, Chain):
+        i = _OPS.index(node.op)
+        s = f" {node.op} ".join(_pp(item, i + 1) for item in node.items)
+        return f"({s})" if level > i else s
     if isinstance(node, Scale):
-        return f"{node.scalar} . {_pp(node.term, 3)}"
+        return f"{node.scalar} . {_pp(node.term, len(_OPS))}"
     if isinstance(node, Gen):
         return node.name
     if isinstance(node, Id):
@@ -361,16 +347,8 @@ def _pp(node: Node, level: int) -> str:
 # typechecker
 
 
-@dataclass(frozen=True)
-class Typed:
-    node: Node
-    dom: tuple  # sys names
-    cod: tuple
-    children: tuple
-
-
-def typecheck(node: Node, decls: Declarations) -> Typed:
-    """Assign dom/cod wire lists to every node; raise on wire mismatches."""
+def typecheck(node: Node, decls: Declarations) -> tuple:
+    """The (dom, cod) wire lists of the expression; raise on wire mismatches."""
     sysd = decls.systems
 
     def sys_of(name, node):
@@ -378,46 +356,45 @@ def typecheck(node: Node, decls: Declarations) -> Typed:
             raise DiagramTypeError(f"{_at(node)}: undeclared system {name!r}")
         return sysd[name]
 
-    def go(n: Node) -> Typed:
-        if isinstance(n, Seq):
-            l, r = go(n.left), go(n.right)
-            if l.cod != r.dom:
-                raise DiagramTypeError(
-                    f"{_at(n.right)}: cannot compose: left produces {_wl(l.cod)}, "
-                    f"right consumes {_wl(r.dom)}"
-                )
-            return Typed(n, l.dom, r.cod, (l, r))
-        if isinstance(n, Par):
-            l, r = go(n.left), go(n.right)
-            return Typed(n, l.dom + r.dom, l.cod + r.cod, (l, r))
-        if isinstance(n, Sum):
-            l, r = go(n.left), go(n.right)
-            if l.dom != r.dom or l.cod != r.cod:
-                raise DiagramTypeError(
-                    f"{_at(n)}: summands have different types: "
-                    f"{_wl(l.dom)}->{_wl(l.cod)} vs {_wl(r.dom)}->{_wl(r.cod)}"
-                )
-            return Typed(n, l.dom, l.cod, (l, r))
+    def go(n: Node) -> tuple:
+        if isinstance(n, Chain):
+            dom, cod = go(n.items[0])
+            for item in n.items[1:]:
+                d, c = go(item)
+                if n.op == "*":
+                    dom, cod = dom + d, cod + c
+                elif n.op == ";":
+                    if cod != d:
+                        raise DiagramTypeError(
+                            f"{_at(item)}: cannot compose: left produces {_wl(cod)}, "
+                            f"right consumes {_wl(d)}"
+                        )
+                    cod = c
+                elif (dom, cod) != (d, c):
+                    raise DiagramTypeError(
+                        f"{_at(item)}: summands have different types: "
+                        f"{_wl(dom)}->{_wl(cod)} vs {_wl(d)}->{_wl(c)}"
+                    )
+            return dom, cod
         if isinstance(n, Scale):
-            t = go(n.term)
-            return Typed(n, t.dom, t.cod, (t,))
+            return go(n.term)
         if isinstance(n, Gen):
             if n.name not in decls.generators:
                 raise DiagramTypeError(f"{_at(n)}: undeclared generator {n.name!r}")
             g = decls.generators[n.name]
             for w in g.dom + g.cod:
                 sys_of(w, n)
-            return Typed(n, g.dom, g.cod, ())
+            return g.dom, g.cod
         if isinstance(n, Id):
             for w in n.wires:
                 sys_of(w, n)
-            return Typed(n, n.wires, n.wires, ())
+            return n.wires, n.wires
         if isinstance(n, Swap):
             sys_of(n.a, n), sys_of(n.b, n)
-            return Typed(n, (n.a, n.b), (n.b, n.a), ())
+            return (n.a, n.b), (n.b, n.a)
         if isinstance(n, Disc):
             sys_of(n.wire, n)
-            return Typed(n, (n.wire,), (), ())
+            return (n.wire,), ()
         if isinstance(n, (State, Effect)):
             s = sys_of(n.wire, n)
             if s.kind != "classical":
@@ -427,8 +404,8 @@ def typecheck(node: Node, decls: Declarations) -> Typed:
             if n.label not in s.labels:
                 raise DiagramTypeError(f"{_at(n)}: {n.label!r} is not a label of {n.wire}")
             if isinstance(n, State):
-                return Typed(n, (), (n.wire,), ())
-            return Typed(n, (n.wire,), (), ())
+                return (), (n.wire,)
+            return (n.wire,), ()
         raise TypeError(f"unknown node {n!r}")
 
     return go(node)
@@ -446,45 +423,38 @@ def _wl(names: tuple) -> str:
 # evaluator
 
 
-def evaluate(typed: Typed, backend, decls: Declarations, bindings: dict):
-    """Map the typed tree to a backend morphism.
+def evaluate(node: Node, backend, decls: Declarations, bindings: dict):
+    """Map an expression that passed `typecheck` to a backend morphism.
 
     `bindings` maps generator names to backend morphisms; generators with an
     inline matrix literal are materialised on demand (classical backend only).
+    Each chain is a left fold, so `f ; g ; h` is compose(h, compose(g, f)).
     """
-    sys_objs = {}
-    for name, s in decls.systems.items():
-        if s.kind == "classical":
-            sys_objs[name] = backend.classical_obj(s.labels)
-        else:
-            sys_objs[name] = backend.quantum_obj(s.size)
+    sys_objs = _sys_objs(backend, decls)
+    join = {";": lambda acc, v: backend.compose(v, acc), "*": backend.tensor, "+": backend.add}
 
-    def gen_value(name: str, node):
-        if name in bindings:
-            return bindings[name]
-        g = decls.generators[name]
-        if g.matrix is None:
-            raise DiagramTypeError(f"{_at(node)}: unbound generator {name!r}")
-        if backend.kind != "classical":
-            raise DiagramTypeError(
-                f"{_at(node)}: inline generator matrices are classical-only; bind {name!r} explicitly"
-            )
-        return _literal_morphism(backend, sys_objs, g, g.matrix)
-
-    def go(t: Typed):
-        n = t.node
-        if isinstance(n, Seq):
-            return backend.compose(go(t.children[1]), go(t.children[0]))
-        if isinstance(n, Par):
-            return backend.tensor(go(t.children[0]), go(t.children[1]))
-        if isinstance(n, Sum):
-            return backend.add(go(t.children[0]), go(t.children[1]))
+    def go(n: Node):
+        if isinstance(n, Chain):
+            acc = go(n.items[0])
+            for item in n.items[1:]:
+                acc = join[n.op](acc, go(item))
+            return acc
         if isinstance(n, Scale):
             s = backend.sr.parse(n.scalar)
-            return backend.scale(s, go(t.children[0]))
+            return backend.scale(s, go(n.term))
         if isinstance(n, Gen):
-            v = gen_value(n.name, n)
-            want = (_obj_of(backend, sys_objs, t.dom), _obj_of(backend, sys_objs, t.cod))
+            g = decls.generators[n.name]
+            if n.name in bindings:
+                v = bindings[n.name]
+            elif g.matrix is None:
+                raise DiagramTypeError(f"{_at(n)}: unbound generator {n.name!r}")
+            elif backend.kind != "classical":
+                raise DiagramTypeError(
+                    f"{_at(n)}: inline generator matrices are classical-only; bind {n.name!r} explicitly"
+                )
+            else:
+                v = _literal_morphism(backend, sys_objs, g, g.matrix)
+            want = (_obj_of(backend, sys_objs, g.dom), _obj_of(backend, sys_objs, g.cod))
             if (backend.dom(v), backend.cod(v)) != want:
                 raise DiagramTypeError(
                     f"{_at(n)}: binding for {n.name!r} has the wrong shape"
@@ -502,7 +472,15 @@ def evaluate(typed: Typed, backend, decls: Declarations, bindings: dict):
             return backend.point_effect(sys_objs[n.wire], n.label)
         raise TypeError(f"unknown node {n!r}")
 
-    return go(typed)
+    return go(node)
+
+
+def _sys_objs(backend, decls: Declarations) -> dict:
+    """The backend object of each declared system."""
+    return {
+        name: backend.classical_obj(s.labels) if s.kind == "classical" else backend.quantum_obj(s.size)
+        for name, s in decls.systems.items()
+    }
 
 
 def _obj_of(backend, sys_objs: dict, names: tuple):
@@ -522,8 +500,8 @@ def _literal_morphism(backend, sys_objs: dict, gen, nested):
 
 
 def run_document(doc: Document, backend, bindings: dict = None):
-    typed = typecheck(doc.expr, doc.decls)
-    return evaluate(typed, backend, doc.decls, bindings or {})
+    typecheck(doc.expr, doc.decls)
+    return evaluate(doc.expr, backend, doc.decls, bindings or {})
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +546,7 @@ def bind_generators(doc: Document, backend, raw: dict):
     """Materialise raw nested-literal bindings as backend morphisms."""
     if backend.kind != "classical":
         raise DiagramTypeError("literal bindings files are classical-only")
-    sys_objs = {
-        name: backend.classical_obj(s.labels) for name, s in doc.decls.systems.items()
-    }
+    sys_objs = _sys_objs(backend, doc.decls)
     out = {}
     for name, nested in raw.items():
         if name not in doc.decls.generators:

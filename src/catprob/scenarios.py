@@ -146,6 +146,8 @@ def parse_scenario_text(src: str) -> Scenario:
             kind, _, lit = rest.partition(" ")
             state_kind = kind
             state_blocks = split_blocks(lit)
+            if not state_blocks:
+                raise ScenarioError(f"`state {kind}` needs a bracketed literal")
         elif key == "party":
             cur = _PartySpec(name=rest or f"P{len(specs)}", kraus={})
             specs.append(cur)
@@ -167,6 +169,8 @@ def parse_scenario_text(src: str) -> Scenario:
 
     if srid is None:
         raise ScenarioError("scenario file must declare a semiring")
+    if not specs:
+        raise ScenarioError("scenario file must declare a party")
     sr = get_semiring(srid, tolerance=tolerance)
     if backend_kind == "quantum":
         return _build_quantum(QuantumBackend(sr), specs, state_kind, state_blocks)

@@ -584,8 +584,8 @@ def _split_gf2_literal(s: str):
 
 
 def _complex_f64(tolerance: float = 1e-9) -> Semiring:
-    if tolerance < 0:
-        raise SemiringError("tolerance must be nonnegative")
+    if not 0 <= tolerance < math.inf:  # also rejects nan
+        raise SemiringError(f"tolerance must be finite and nonnegative, got {tolerance!r}")
 
     def member(x):
         return abs(complex(x).imag) <= tolerance and complex(x).real >= -tolerance

@@ -1,5 +1,8 @@
 """The command-line front door: subcommands, exit codes, reproducibility."""
 
+import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -315,3 +318,102 @@ def test_shipped_inputs_match_the_benchmark_golden_outputs(tmp_path, kind, name,
     assert main(["--out", str(out)] + argv) == 0
     with open(os.path.join(GOLDEN, kind, f"{name}.out")) as fh:
         assert out.read_text() == fh.read()
+
+
+def _eq_files(tmp_path, decls, lhs, rhs):
+    paths = [tmp_path / "lhs.diag", tmp_path / "rhs.diag"]
+    for path, expr in zip(paths, (lhs, rhs)):
+        path.write_text(f"{decls}\n{expr}\n")
+    return [str(p) for p in paths]
+
+
+# operator, terms, wire, f, g's perturbed binding, eval output of the n-term chain of f
+_FLAT_CHAINS = [
+    (";", 5000, "sys x classical 2", "[[0, 1], [1, 0]]", "[[1, 0], [0, 1]]", ["1  0", "0  1"]),
+    ("+", 3000, "sys x classical 2", "[[0, 1], [1, 0]]", "[[1, 1], [1, 0]]", ["0  3000", "3000  0"]),
+    ("*", 3000, "sys x classical 1", "[[1]]", "[[2]]", ["1"]),
+]
+
+
+@pytest.mark.parametrize("op,n,sys_line,f,perturbed,rows", _FLAT_CHAINS, ids=[c[0] for c in _FLAT_CHAINS])
+def test_flat_chains_of_any_length(capsys, tmp_path, op, n, sys_line, f, perturbed, rows):
+    """A chain is one n-ary node, so its length does not reach the recursion limit."""
+    lhs, rhs = _eq_files(
+        tmp_path, f"{sys_line}\ngen f : x -> x\ngen g : x -> x",
+        f" {op} ".join(["f"] * n), f" {op} ".join(["f"] * (n - 1) + ["g"]),
+    )
+    b = tmp_path / "b.txt"
+    for g, want in [(f, 0), (perturbed, 1)]:
+        b.write_text(f"semiring nat\ngen f = {f}\ngen g = {g}\n")
+        code, out, err = run(capsys, "eq", lhs, rhs, str(b))
+        assert (code, err) == (want, ""), out
+    d = tmp_path / "d.diag"
+    d.write_text(f"{sys_line}\ngen f : x -> x = {f}\n" + f" {op} ".join(["f"] * n) + "\n")
+    code, out, err = run(capsys, "eval", str(d))
+    assert (code, err) == (0, "") and out.splitlines()[2:] == rows
+
+
+def test_deepest_nesting_with_three_chains_per_bracket(capsys, tmp_path):
+    """`_MAX_NESTING` brackets, each holding a `+`, a `;` and a `*` chain."""
+    def nest(inner):
+        for _ in range(100):
+            inner = f"({inner} * k ; f + f)"
+        return inner
+
+    lhs, rhs = _eq_files(tmp_path, "sys x classical 2\ngen f : x -> x\ngen g : x -> x\ngen k : ->", nest("f"), nest("g"))
+    b = tmp_path / "b.txt"
+    for g, want in [("[[0, 1], [1, 0]]", 0), ("[[1, 0], [0, 1]]", 1)]:
+        b.write_text(f"semiring nat\ngen f = [[0, 1], [1, 0]]\ngen g = {g}\ngen k = [[1]]\n")
+        code, out, err = run(capsys, "eq", lhs, rhs, str(b))
+        assert (code, err) == (want, ""), out
+    d = tmp_path / "d.diag"
+    d.write_text("sys x classical 2\ngen f : x -> x = [[0, 1], [1, 0]]\ngen k : -> = [[1]]\n" + nest("f") + "\n")
+    code, out, err = run(capsys, "eval", str(d))
+    assert (code, err) == (0, "") and out.splitlines()[2:] == ["50  51", "51  50"]
+
+
+_PARTY = "party A\nsize 1\nchoices 1\noutcomes 1\nmatrix [[1]]\n"
+
+
+@pytest.mark.parametrize("argv,scn,message", [
+    (["bell", SCEN], None, "Is a directory"),
+    (["eval", CORPUS], None, "Is a directory"),
+    (["eq", os.path.join(CORPUS, "id-resolution", "lhs.diag"), CORPUS, CORPUS], None, "Is a directory"),
+    (["bell"], b"\xff\xfesemiring ratnn\n", "can't decode byte 0xff"),
+    (["bell"], b"semiring ratnn\nstate vector [1]\n", "scenario file must declare a party"),
+    (["bell"], b"semiring gauss-rat\nbackend quantum\nstate density [[1]]\n", "scenario file must declare a party"),
+    (["bell"], b"semiring ratnn\n" + _PARTY.encode() + b"state vector\n", "`state vector` needs a bracketed literal"),
+    (["bell"], b"semiring gauss-rat\nbackend quantum\nparty A\ndim 1\nstate density\n",
+     "`state density` needs a bracketed literal"),
+    (["bell"], b"semiring complex-f64\ntolerance nan\n" + _PARTY.encode() + b"state vector [1]\n",
+     "tolerance must be finite and nonnegative, got nan"),
+    (["--tolerance", "nan", "theory-check", "complex-f64"], None, "tolerance must be finite and nonnegative, got nan"),
+    (["--tolerance", "inf", "theory-check", "complex-f64", "--backend", "quantum"], None,
+     "tolerance must be finite and nonnegative, got inf"),
+], ids=["bell-dir", "eval-dir", "eq-dir", "scn-not-utf8", "no-party", "no-party-quantum", "no-state-vector",
+        "no-state-density", "scn-nan-tolerance", "nan-tolerance", "inf-tolerance"])
+def test_unreadable_or_incomplete_inputs_are_usage_errors(tmp_path, argv, scn, message):
+    if scn is not None:
+        f = tmp_path / "s.scn"
+        f.write_bytes(scn)
+        argv = argv + [str(f)]
+    proc = _run_process(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+def test_benchmark_entry_points_name_functions_of_their_modules():
+    """The benchmark traces these names; read them without importing its harness."""
+    with open(os.path.join(ROOT, "perfbench", "run.py")) as fh:
+        tree = ast.parse(fh.read())
+    (names,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["ENTRY_POINTS"]]
+    assert names
+    for name in names:
+        module, _, qualname = name.partition(".")
+        obj = importlib.import_module(f"catprob.{module}")
+        for attr in qualname.split("."):
+            obj = getattr(obj, attr, None)
+        assert inspect.isfunction(obj), name
+        assert (obj.__module__, obj.__qualname__) == (f"catprob.{module}", qualname), name

@@ -33,9 +33,9 @@ def test_precedence_par_tighter_than_seq_tighter_than_sum():
         "state[x,0] * effect[x,0] ; sw[x,x] + state[x,1] * effect[x,1] ; sw[x,x]"
     )
     node = doc.expr
-    assert isinstance(node, dg.Sum)
-    assert isinstance(node.left, dg.Seq)
-    assert isinstance(node.left.left, dg.Par)
+    assert node.op == "+" and len(node.items) == 2
+    assert node.items[0].op == ";" and len(node.items[0].items) == 2
+    assert node.items[0].items[0].op == "*"
 
 
 def test_sequential_composition_is_diagram_order():
@@ -151,9 +151,7 @@ def _ast(depth):
     sub = _ast(depth - 1)
     return st.one_of(
         leaves,
-        st.builds(dg.Seq, sub, sub),
-        st.builds(dg.Par, sub, sub),
-        st.builds(dg.Sum, sub, sub),
+        st.builds(dg.Chain, st.sampled_from(dg._OPS), st.lists(sub, min_size=2, max_size=3).map(tuple)),
         st.builds(dg.Scale, st.sampled_from(["2", "1/3", "0"]), sub),
     )
 
@@ -172,9 +170,10 @@ def test_roundtrip_preserves_semantics():
         "(f ; f) * disc[x] + 1/2 . (f * disc[x]) + 1/2 . (f * disc[x])"
     )
     f = mc.random_normalised(B.sr, mc.obj("0", "1"), mc.obj("0", "1"), rng)
-    v1 = dg.evaluate(dg.typecheck(doc.expr, doc.decls), B, doc.decls, {"f": f})
+    v1 = dg.evaluate(doc.expr, B, doc.decls, {"f": f})
     reparsed = dg.parse_expr(dg.pretty(doc.expr))
-    v2 = dg.evaluate(dg.typecheck(reparsed, doc.decls), B, doc.decls, {"f": f})
+    assert dg.typecheck(reparsed, doc.decls) == dg.typecheck(doc.expr, doc.decls) == (("x", "x"), ("x",))
+    v2 = dg.evaluate(reparsed, B, doc.decls, {"f": f})
     assert mc.equal(v1, v2)
 
 
@@ -196,3 +195,47 @@ def test_matrix_literals_nest_at_most_their_depth():
     for src, depth, offset in [("[[[1]]]", 2, 2), ("[" * 5000 + "]" * 5000, 2, 2), ("[[1]]", 1, 1)]:
         with pytest.raises(ScenarioError, match=f"nested more than {depth} deep at offset {offset}$"):
             parse_nested(src, depth)
+
+
+# ---------------------------------------------------------------------------
+# n-ary chains against the direct fold of their operands
+
+_SIZES = {"o": 1, "x": 2, "h": 3}
+
+
+def _random_chain(op, n, rng):
+    """Wires of each generator g0..g{n-1}: a path for `;`, one shared type for
+    `+`, and for `*` at most four non-trivial wires so the product stays small."""
+    if op == ";":
+        path = [rng.choice("xh") for _ in range(n + 1)]
+        return list(zip(path, path[1:]))
+    if op == "+":
+        return [("x", "h")] * n
+    wide = set(rng.sample(range(n), min(n, 4)))
+    return [(rng.choice("ox"), rng.choice("ox")) if i in wide else ("o", "o") for i in range(n)]
+
+
+@pytest.mark.parametrize("op", dg._OPS)
+def test_chains_are_left_folds_of_their_operands(op):
+    rng = random.Random(f"chain {op}")
+    objs = {w: mc.obj_of_size(k) for w, k in _SIZES.items()}
+    fold = {";": lambda acc, v: mc.compose(v, acc), "*": mc.tensor, "+": mc.madd}[op]
+    for _ in range(10):
+        n = rng.randint(2, 30)
+        types = _random_chain(op, n, rng)
+        decls = "".join(f"sys {w} classical {k}\n" for w, k in _SIZES.items())
+        decls += "".join(f"gen g{i} : {a} -> {b}\n" for i, (a, b) in enumerate(types))
+        doc = dg.parse(decls + f" {op} ".join(f"g{i}" for i in range(n)))
+        assert doc.expr == dg.Chain(op, tuple(dg.Gen(f"g{i}") for i in range(n)))
+        gens = [mc.random_morphism(B.sr, objs[a], objs[b], rng) for a, b in types]
+        want = gens[0]
+        for g in gens[1:]:
+            want = fold(want, g)
+        v = dg.run_document(doc, B, {f"g{i}": g for i, g in enumerate(gens)})
+        assert v == want
+
+
+def test_the_leftmost_unbound_generator_is_named():
+    doc = dg.parse("sys x classical 2\ngen f : x -> x\ngen g : x -> x\nid[x] * id[x] + (f ; g) * id[x]")
+    with pytest.raises(dg.DiagramTypeError, match="line 4, col 18: unbound generator 'f'"):
+        dg.run_document(doc, B)

@@ -152,7 +152,15 @@ def cmd_toyzoo(args) -> int:
     return 0
 
 
+_PARSER = None  # built by the first build_parser() call
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: `parse_args` never mutates
+    it and formats help and errors at call time, so every call can share it."""
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     ap = argparse.ArgumentParser(prog="catprob", description=__doc__)
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--tolerance", type=float, default=1e-9)
@@ -183,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("toyzoo", help="print the toy-theory table")
     p.set_defaults(fn=cmd_toyzoo)
+    _PARSER = ap
     return ap
 
 

@@ -197,9 +197,9 @@ def parse(src: str) -> Document:
 
 def parse_expr(src: str) -> Node:
     toks = _lex(src)
-    node, rest = _parse_chain(toks, 0)
-    if rest:
-        t = rest[0]
+    node, i = _parse_chain(toks, 0, 0)
+    if i < len(toks):
+        t = toks[i]
         raise DiagramSyntaxError(f"line {t.line}, col {t.col}: unexpected {t.text!r}")
     return node
 
@@ -237,76 +237,75 @@ _MAX_NESTING = 100  # parentheses and scalar prefixes: well inside the recursion
 _OPS = ("+", ";", "*")  # chain operators, loosest first
 
 
-def _parse_chain(toks, depth, level=0):
-    """A chain of `_OPS[level]` whose operands bind tighter; one operand
-    alone is returned as it is."""
+def _parse_chain(toks, i, depth, level=0):
+    """A chain of `_OPS[level]` whose operands bind tighter, read from
+    `toks[i]` on; one operand alone is returned as it is. Returns the node
+    and the index of the first token after it, as every parse step does."""
     items = []
     while True:
         if level + 1 < len(_OPS):
-            node, toks = _parse_chain(toks, depth, level + 1)
+            node, i = _parse_chain(toks, i, depth, level + 1)
         else:
-            node, toks = _parse_atom(toks, depth)
+            node, i = _parse_atom(toks, i, depth)
         items.append(node)
-        if not toks or toks[0].text != _OPS[level]:
+        if i == len(toks) or toks[i].text != _OPS[level]:
             break
-        toks = toks[1:]
+        i += 1
     if len(items) == 1:
-        return node, toks
-    return Chain(_OPS[level], tuple(items), span=items[0].span), toks
+        return node, i
+    return Chain(_OPS[level], tuple(items), span=items[0].span), i
 
 
-def _expect(toks, text):
-    if not toks or toks[0].text != text:
-        where = f"line {toks[0].line}, col {toks[0].col}" if toks else "end of input"
-        got = repr(toks[0].text) if toks else "end of input"
+def _expect(toks, i, text):
+    if i == len(toks) or toks[i].text != text:
+        where = f"line {toks[i].line}, col {toks[i].col}" if i < len(toks) else "end of input"
+        got = repr(toks[i].text) if i < len(toks) else "end of input"
         raise DiagramSyntaxError(f"{where}: expected {text!r}, got {got}")
-    return toks[1:]
+    return i + 1
 
 
-def _parse_atom(toks, depth):
-    if not toks:
+def _parse_atom(toks, i, depth):
+    if i == len(toks):
         raise DiagramSyntaxError("unexpected end of input")
-    t = toks[0]
+    t = toks[i]
     sp = (t.line, t.col)
     if depth == _MAX_NESTING and (t.kind == "num" or t.text == "("):
         raise DiagramSyntaxError(f"line {t.line}, col {t.col}: nested more than {_MAX_NESTING} deep")
     if t.kind == "num":  # scalar "." atom
-        rest = _expect(toks[1:], ".")
-        inner, rest = _parse_atom(rest, depth + 1)
-        return Scale(t.text, inner, span=sp), rest
+        inner, i = _parse_atom(toks, _expect(toks, i + 1, "."), depth + 1)
+        return Scale(t.text, inner, span=sp), i
     if t.text == "(":
-        inner, rest = _parse_chain(toks[1:], depth + 1)
-        rest = _expect(rest, ")")
-        return inner, rest
+        inner, i = _parse_chain(toks, i + 1, depth + 1)
+        return inner, _expect(toks, i, ")")
     if t.kind == "name" and t.text in ("id", "sw", "disc", "state", "effect"):
-        rest = _expect(toks[1:], "[")
+        i = _expect(toks, i + 1, "[")
         args = []
-        while rest and rest[0].text != "]":
-            if rest[0].kind not in ("name", "num"):
+        while i < len(toks) and toks[i].text != "]":
+            if toks[i].kind not in ("name", "num"):
                 raise DiagramSyntaxError(
-                    f"line {rest[0].line}, col {rest[0].col}: bad argument {rest[0].text!r}"
+                    f"line {toks[i].line}, col {toks[i].col}: bad argument {toks[i].text!r}"
                 )
-            args.append(rest[0].text)
-            rest = rest[1:]
-            if rest and rest[0].text == ",":
-                rest = rest[1:]
-        rest = _expect(rest, "]")
+            args.append(toks[i].text)
+            i += 1
+            if i < len(toks) and toks[i].text == ",":
+                i += 1
+        i = _expect(toks, i, "]")
         if t.text == "id":
-            return Id(tuple(args), span=sp), rest
+            return Id(tuple(args), span=sp), i
         if t.text == "sw":
             if len(args) != 2:
                 raise DiagramSyntaxError(f"line {t.line}: sw takes exactly two wires")
-            return Swap(args[0], args[1], span=sp), rest
+            return Swap(args[0], args[1], span=sp), i
         if t.text == "disc":
             if len(args) != 1:
                 raise DiagramSyntaxError(f"line {t.line}: disc takes exactly one wire")
-            return Disc(args[0], span=sp), rest
+            return Disc(args[0], span=sp), i
         if len(args) != 2:
             raise DiagramSyntaxError(f"line {t.line}: {t.text} takes a wire and a label")
         cls = State if t.text == "state" else Effect
-        return cls(args[0], args[1], span=sp), rest
+        return cls(args[0], args[1], span=sp), i
     if t.kind == "name":
-        return Gen(t.text, span=sp), toks[1:]
+        return Gen(t.text, span=sp), i + 1
     raise DiagramSyntaxError(f"line {t.line}, col {t.col}: unexpected {t.text!r}")
 
 

@@ -71,20 +71,24 @@ def parse_nested(src: str, depth: int = 2):
 
 
 def split_blocks(src: str):
-    """Top-level bracketed chunks on one line, e.g. `[[..]] [[..]]`."""
+    """Top-level bracketed chunks on one line, e.g. `[[..]] [[..]]`, with
+    nothing but whitespace between them."""
     chunks = []
     depth = 0
-    cur = []
-    for ch in src:
+    start = 0
+    for i, ch in enumerate(src):
         if ch == "[":
+            if depth == 0:
+                start = i
             depth += 1
-        if depth > 0:
-            cur.append(ch)
-        if ch == "]":
+        elif ch == "]":
+            if depth == 0:
+                raise ScenarioError(f"unmatched ']' at offset {i}")
             depth -= 1
             if depth == 0:
-                chunks.append("".join(cur))
-                cur = []
+                chunks.append(src[start:i + 1])
+        elif depth == 0 and not ch.isspace():
+            raise ScenarioError(f"unexpected {ch!r} outside brackets at offset {i}")
     if depth != 0:
         raise ScenarioError("unbalanced brackets")
     return chunks
@@ -148,6 +152,8 @@ def parse_scenario_text(src: str) -> Scenario:
             state_blocks = split_blocks(lit)
             if not state_blocks:
                 raise ScenarioError(f"`state {kind}` needs a bracketed literal")
+            if kind in ("vector", "density") and len(state_blocks) > 1:
+                raise ScenarioError(f"`state {kind}` takes one bracketed literal, got {len(state_blocks)}")
         elif key == "party":
             cur = _PartySpec(name=rest or f"P{len(specs)}", kraus={})
             specs.append(cur)

@@ -143,14 +143,18 @@ class ConditioningError(SemiringError):
 # ---------------------------------------------------------------------------
 # literal parsing helpers
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def _parse_frac(tok: str) -> Fraction:
     tok = tok.strip()
-    if not _RAT_RE.match(tok):
+    m = _RAT_RE.match(tok)
+    if not m:
         raise SemiringError(f"bad rational literal: {tok!r}")
-    return Fraction(tok)
+    den = int(m.group(2) or 1)
+    if not den:
+        raise SemiringError(f"zero denominator in rational literal: {tok!r}")
+    return Fraction(int(m.group(1)), den)
 
 
 def _parse_pair(tok: str, unit: str) -> tuple:

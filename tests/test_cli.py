@@ -1,14 +1,18 @@
 """The command-line front door: subcommands, exit codes, reproducibility."""
 
+import argparse
 import ast
+import contextlib
 import importlib
 import inspect
+import io
 import os
 import subprocess
 import sys
 
 import pytest
 
+from catprob import cli
 from catprob.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -401,6 +405,127 @@ def test_unreadable_or_incomplete_inputs_are_usage_errors(tmp_path, argv, scn, m
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+def _replace_line(scenario, start, line):
+    """A shipped scenario with its first line that starts with `start` replaced."""
+    with open(os.path.join(SCEN, scenario)) as fh:
+        lines = fh.read().splitlines()
+    k = next(k for k, ln in enumerate(lines) if ln.startswith(start))
+    return "\n".join(lines[:k] + [line] + lines[k + 1:]) + "\n"
+
+
+_ZERO_DENOMINATORS = {
+    "scn-state-vector": (["bell"], "s.scn", _with_state("correlated-coin.scn", "state vector [1/0, 0, 0, 1/2]")),
+    "eval-gen-matrix": (["eval"], "d.diag", "sys x classical 2\ngen f : x -> x = [[1/0, 0], [0, 1]]\nf\n"),
+    "eq-bindings": (
+        ["eq", os.path.join(CORPUS, "normalised-absorb", "lhs.diag"), os.path.join(CORPUS, "normalised-absorb", "rhs.diag")],
+        "b.txt", "semiring ratnn\ngen f = [[1/0, 1/3], [1/3, 1/2], [1/3, 1/4]]\n",
+    ),
+    "scalar-prefix": (["eval"], "d.diag", "sys x classical 2\ngen f : x -> x = [[1, 0], [0, 1]]\n1/0 . f\n"),
+    "gauss-rat": (["eval", "--semiring", "gauss-rat"], "d.diag", "sys x classical 1\ngen f : x -> x = [[1/0+1i]]\nf\n"),
+}
+
+
+@pytest.mark.parametrize("argv,name,text", _ZERO_DENOMINATORS.values(), ids=_ZERO_DENOMINATORS.keys())
+def test_zero_denominator_is_a_usage_error(tmp_path, argv, name, text):
+    f = tmp_path / name
+    f.write_text(text)
+    proc = _run_process(*argv, str(f))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == ["error: zero denominator in rational literal: '1/0'"]
+
+
+_IGNORED_TEXT = {
+    "second-state-vector": (
+        "correlated-coin.scn", "state ", "state vector [1/2, 0, 0, 1/2]  [0, 0, 0, 1]",
+        "`state vector` takes one bracketed literal, got 2",
+    ),
+    "second-state-density": (
+        "chsh-345.scn", "state ", "state density [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]] [[1]]",
+        "`state density` takes one bracketed literal, got 2",
+    ),
+    "text-before-state": (
+        "correlated-coin.scn", "state ", "state vector 1 [1/2, 0, 0, 1/2]", "unexpected '1' outside brackets at offset 0",
+    ),
+    "kraus-junk": (
+        "tsirelson.scn", "kraus 0", "kraus 0 junk [[1, 0]] [[0, 1]] more junk",
+        "unexpected 'j' outside brackets at offset 0",
+    ),
+    "kraus-trailing-junk": (
+        "tsirelson.scn", "kraus 0", "kraus 0 [[1, 0]] [[0, 1]] more junk",
+        "unexpected 'm' outside brackets at offset 18",
+    ),
+    "unmatched-close": ("chsh-345.scn", "kraus 0", "kraus 0 [[1, 0]]] [[0, 1]]", "unmatched ']' at offset 8"),
+}
+
+
+@pytest.mark.parametrize("scenario,start,line,message", _IGNORED_TEXT.values(), ids=_IGNORED_TEXT.keys())
+def test_text_outside_scenario_literals_is_a_usage_error(tmp_path, scenario, start, line, message):
+    f = tmp_path / "s.scn"
+    f.write_text(_replace_line(scenario, start, line))
+    proc = _run_process("bell", str(f))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [f"error: {message}"]
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["toyzoo"]) == 0
+        first = len(built)
+        assert first == 6  # the top-level parser and its five subcommands
+        for _ in range(3):
+            assert main(["toyzoo"]) == 0
+            assert main(["theory-check", "bool"]) == 0
+        with pytest.raises(SystemExit):
+            main(["nope"])
+    assert len(built) == first
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_repeated_in_process_calls_leak_no_state(capsys, monkeypatch, tmp_path):
+    """Each call of one in-process sequence prints what a fresh process prints."""
+    monkeypatch.delenv("CATPROB_SEED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    entry = os.path.join(CORPUS, "normalised-absorb")
+    eq = ["eq"] + [os.path.join(entry, f) for f in ("lhs.diag", "rhs.diag", "bindings.txt")]
+    out_file = tmp_path / "out.txt"
+    sequence = [
+        ["--seed", "5", "theory-check", "bool"],
+        ["theory-check", "bool"],
+        ["--out", str(out_file)] + eq,
+        eq,
+        ["nope"],
+        ["eq", "--help"],
+        ["--seed", "5", "theory-check", "bool"],
+    ]
+    for argv in sequence:
+        if out_file.exists():
+            out_file.unlink()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        written = out_file.read_text() if out_file.exists() else None
+        if written is not None:
+            out_file.unlink()
+        proc = _run_process(*argv)
+        fresh = out_file.read_text() if out_file.exists() else None
+        assert (code, out, err, written) == (proc.returncode, proc.stdout, proc.stderr, fresh), argv
+    assert main(["--out", str(out_file)] + eq) == 0 and capsys.readouterr().out == ""
+    assert main(eq) == 0 and capsys.readouterr().out == "equal\n"
+    args = cli.build_parser().parse_args(["theory-check", "bool"])
+    assert (args.seed, args.out, args.backend) == (None, None, "classical")
 
 
 def test_benchmark_entry_points_name_functions_of_their_modules():

@@ -1,6 +1,7 @@
 """The diagram DSL: parsing, pretty-printing, typechecking, evaluation."""
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -184,6 +185,40 @@ def test_nesting_is_bounded_without_recursion_errors():
     for src in ["(" + deepest + ")", "1 . " * (dg._MAX_NESTING + 1) + "f", "(" * 5000 + "f" + ")" * 5000]:
         with pytest.raises(dg.DiagramSyntaxError, match=f"nested more than {dg._MAX_NESTING} deep"):
             dg.parse_expr(src)
+
+
+@pytest.mark.parametrize("src,message", [
+    ("f ;", "unexpected end of input"),
+    ("f ; ; g", "line 1, col 5: unexpected ';'"),
+    ("(f ; g", "end of input: expected ')', got end of input"),
+    ("id[x", "end of input: expected ']', got end of input"),
+    ("id x]", "line 1, col 4: expected '[', got 'x'"),
+    ("sw[x]", "line 1: sw takes exactly two wires"),
+    ("disc[x, y]", "line 1: disc takes exactly one wire"),
+    ("state[x]", "line 1: state takes a wire and a label"),
+    ("id[x, ;]", "line 1, col 7: bad argument ';'"),
+    ("1/2 f", "line 1, col 5: expected '.', got 'f'"),
+    ("1/2 .", "unexpected end of input"),
+    ("f g", "line 1, col 3: unexpected 'g'"),
+    ("(f))", "line 1, col 4: unexpected ')'"),
+    ("f\n  + )", "line 2, col 5: unexpected ')'"),
+])
+def test_syntax_error_messages_name_the_token(src, message):
+    with pytest.raises(dg.DiagramSyntaxError) as info:
+        dg.parse_expr(src)
+    assert str(info.value) == message
+
+
+def test_parsing_is_linear_in_chain_length():
+    """The parser moves an index through the tokens: a 40,000-term chain
+    parses in well under a second, where one that copied the rest of the
+    token list at each step would take about 14 s."""
+    n = 40_000
+    start = time.perf_counter()
+    doc = dg.parse("sys x classical 2\ngen f : x -> x\n" + " ; ".join(["f"] * n) + "\n")
+    assert time.perf_counter() - start < 3
+    assert doc.expr.op == ";" and len(doc.expr.items) == n
+    assert doc.expr.items[-1].span == (3, 4 * n - 3)
 
 
 def test_matrix_literals_nest_at_most_their_depth():
